@@ -12,12 +12,12 @@ import sys
 import time
 from itertools import combinations_with_replacement
 
-from fatforest.complexes import FatForestSpec, build_fat_forest, skeleton
-from fatforest.formulas import SkeletonQuery, betti_closed, betti_via_strand_subtraction
-from fatforest.homology import FieldSpec, hochster_betti
+from fatforest.complexes import FatForestSpec
+from fatforest.homology import FieldSpec
+from fatforest.verify import verify_routes
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-blocks", type=int, default=2)
     parser.add_argument("--max-blocks", type=int, default=3)
@@ -26,11 +26,11 @@ def parse_args():
     parser.add_argument("--max-vertices", type=int, default=12)
     parser.add_argument("--fields", default="gf2,gf3")
     parser.add_argument("--presets", default="chain-distinct,star")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     fields = [FieldSpec.parse(f) for f in args.fields.split(",")]
     presets = args.presets.split(",")
     start = time.monotonic()
@@ -42,21 +42,16 @@ def main():
             if sum(sizes) - (e - 1) > args.max_vertices:
                 continue
             for preset in presets:
-                base = build_fat_forest(FatForestSpec(sizes, preset))
                 for k in range(1, max(sizes) + 1):
-                    q = SkeletonQuery(sizes, k)
-                    formula = betti_closed(q)
-                    tables = {"strands": betti_via_strand_subtraction(q)}
-                    ck = skeleton(base, k)
-                    for field in fields:
-                        tables[f"hochster-{field.label}"] = hochster_betti(ck, field)
-                    bad = [name for name, t in tables.items() if t != formula]
+                    report = verify_routes(FatForestSpec(sizes, preset), k, fields)
                     cases += 1
-                    if bad:
-                        failures += 1
-                        print(f"FAIL sizes={sizes} preset={preset} k={k}: {', '.join(bad)}")
-                    else:
+                    if report.passed:
                         print(f"ok   sizes={sizes} preset={preset} k={k}")
+                        continue
+                    failures += 1
+                    bad = [f"{c.first} != {c.second}" for c in report.table_checks if not c.equal]
+                    bad += [f"invariants {a} != {b}" for a, b, ok in report.invariant_checks if not ok]
+                    print(f"FAIL sizes={sizes} preset={preset} k={k}: {', '.join(bad)}")
     elapsed = time.monotonic() - start
     print(f"\n{cases} cases, {failures} failures, {elapsed:.1f}s")
     return 1 if failures else 0

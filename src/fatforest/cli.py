@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .betti import BettiTable, RingInvariants, invariants_from_table
+from .betti import BettiTable, invariants_from_table
 from .complexes import (
     FatForestSpec,
     SimplicialComplex,
@@ -31,16 +31,10 @@ from .formulas import (
     skeleton_numerator,
 )
 from .homology import DEFAULT_GUARD, FieldSpec, OracleGuardError, hochster_betti
-from .identities import identity_report
+from .identities import IdentityReport, identity_report
 from .polynomials import numerator_from_fvector
-from .tables import (
-    betti_doc,
-    invariants_doc,
-    render_csv_table,
-    render_paper_table,
-    structured_document,
-    to_json,
-)
+from .tables import Document, render, render_paper_table, tuple_text
+from .verify import check_oracle_guard, verify_routes
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -69,33 +63,6 @@ class RunConfig:
     out_path: str | None
     method: str | None = None
     facet_path: str | None = None
-
-
-@dataclass(frozen=True)
-class TableCheck:
-    first: str
-    second: str
-    equal: bool
-    mismatches: tuple[tuple[int, int, int, int], ...]  # (i, j, first value, second value)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Betti tables from every applicable method plus pairwise agreement."""
-
-    sizes: tuple[int, ...]
-    k: int
-    n_vars: int
-    tables: tuple[tuple[str, BettiTable], ...]
-    table_checks: tuple[TableCheck, ...]
-    invariants: tuple[tuple[str, RingInvariants], ...]
-    invariant_checks: tuple[tuple[str, str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.equal for c in self.table_checks) and all(
-            ok for _, _, ok in self.invariant_checks
-        )
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -137,14 +104,21 @@ def _config(args) -> RunConfig:
             raise ValueError(f"bad {GUARD_ENV} value {guard_default!r}") from None
     else:
         guard = DEFAULT_GUARD
+    if guard < 0:
+        raise ValueError(
+            f"oracle guard {guard} is negative; --guard and {GUARD_ENV} take a vertex count >= 0"
+        )
     sizes = _parse_sizes(args.sizes) if getattr(args, "sizes", None) else None
     facet_path = getattr(args, "facets", None)
     if sizes is not None and facet_path is not None:
         raise ValueError("--sizes and --facets are mutually exclusive")
+    k = getattr(args, "k", None)
+    if k is None and sizes is not None:
+        k = max(sizes) - 1  # the whole complex
     fields = tuple(FieldSpec.parse(f) for f in getattr(args, "field", None) or ["gf2"])
     return RunConfig(
         sizes=sizes,
-        k=getattr(args, "k", None),
+        k=k,
         gluing=_parse_gluing(getattr(args, "gluing", None) or "chain-distinct"),
         fields=fields,
         guard=guard,
@@ -155,291 +129,99 @@ def _config(args) -> RunConfig:
     )
 
 
-def _load_facet_complex(cfg: RunConfig) -> SimplicialComplex:
-    with open(cfg.facet_path, "r", encoding="utf-8") as handle:
-        c = parse_facet_lines(handle.read())
-    if cfg.k is not None:
-        c = skeleton(c, cfg.k)
-    return c
-
-
 def _build_complex(cfg: RunConfig) -> SimplicialComplex:
     if cfg.facet_path is not None:
-        return _load_facet_complex(cfg)
-    if cfg.sizes is None:
+        with open(cfg.facet_path, "r", encoding="utf-8") as handle:
+            c = parse_facet_lines(handle.read())
+    elif cfg.sizes is None:
         raise ValueError("either --sizes or --facets is required")
-    c = build_fat_forest(FatForestSpec(cfg.sizes, cfg.gluing))
-    if cfg.k is not None:
-        c = skeleton(c, cfg.k)
-    return c
+    else:
+        c = build_fat_forest(FatForestSpec(cfg.sizes, cfg.gluing))
+    return c if cfg.k is None else skeleton(c, cfg.k)
+
+
+def _oracle(cfg: RunConfig) -> tuple[BettiTable, SimplicialComplex]:
+    """Hochster table over the first --field and the complex it ran on. A
+    --sizes spec is held to the guard before anything is built."""
+    if cfg.sizes is not None:
+        check_oracle_guard(FatForestSpec(cfg.sizes, cfg.gluing), cfg.guard)
+    c = _build_complex(cfg)
+    return hochster_betti(c, cfg.fields[0], cfg.guard), c
 
 
 def _query(cfg: RunConfig) -> SkeletonQuery:
     if cfg.sizes is None:
         raise ValueError("this method needs --sizes")
-    k = cfg.k if cfg.k is not None else max(cfg.sizes) - 1
-    return SkeletonQuery(cfg.sizes, k)
+    return SkeletonQuery(cfg.sizes, cfg.k)
 
 
-def _tuple_text(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
-
-
-def _run_fvector(cfg: RunConfig) -> tuple[int, str]:
+def _run_fvector(cfg: RunConfig) -> tuple[int, Document]:
     if cfg.facet_path is not None:
-        c = _load_facet_complex(cfg)
-        fv, n_vars, method = f_vector(c), c.n_vertices, "from-complex"
-    else:
-        q = _query(cfg)
-        fv, n_vars, method = skeleton_f_vector(q), q.n_vars, "closed"
-    if cfg.output_format == "structured":
-        doc = structured_document(
-            sizes=cfg.sizes, k=cfg.k, n_vars=n_vars, method=method, fvector=fv
-        )
-        return EXIT_OK, to_json(doc)
-    if cfg.output_format == "tabular":
-        return EXIT_OK, ",".join(str(c) for c in fv.entries) + "\n"
-    return EXIT_OK, _tuple_text(fv.entries) + "\n"
+        c = _build_complex(cfg)
+        return EXIT_OK, Document(cfg.sizes, cfg.k, c.n_vertices, "from-complex", fvector=f_vector(c))
+    q = _query(cfg)
+    return EXIT_OK, Document(cfg.sizes, cfg.k, q.n_vars, "closed", fvector=skeleton_f_vector(q))
 
 
-def _run_hilbert(cfg: RunConfig) -> tuple[int, str]:
-    method = cfg.method or "closed"
+def _run_hilbert(cfg: RunConfig) -> tuple[int, Document]:
+    method = cfg.method
     if cfg.facet_path is not None or method == "from-complex":
         c = _build_complex(cfg)
         num = numerator_from_fvector(f_vector(c), c.n_vertices)
         method = "from-complex"
     else:
         num = skeleton_numerator(_query(cfg))
-    if cfg.output_format == "structured":
-        doc = structured_document(
-            sizes=cfg.sizes, k=cfg.k, n_vars=num.n_vars, method=method, numerator=num
-        )
-        return EXIT_OK, to_json(doc)
-    if cfg.output_format == "tabular":
-        return EXIT_OK, ",".join(str(c) for c in num.poly.coeffs) + "\n"
-    text = f"N: {num.n_vars}\nnumerator: {_tuple_text(num.poly.coeffs)}\n"
-    return EXIT_OK, text
+    return EXIT_OK, Document(cfg.sizes, cfg.k, num.n_vars, method, numerator=num)
 
 
-def _betti_by_method(cfg: RunConfig, method: str, field: FieldSpec) -> tuple[BettiTable, int]:
-    if method == "formula":
-        q = _query(cfg)
-        return betti_closed(q), q.n_vars
-    if method == "strands":
-        q = _query(cfg)
-        return betti_via_strand_subtraction(q), q.n_vars
-    if method == "hochster":
-        c = _build_complex(cfg)
-        return hochster_betti(c, field, cfg.guard), c.n_vertices
-    raise ValueError(f"unknown Betti method {method!r}")
-
-
-def _run_betti(cfg: RunConfig) -> tuple[int, str]:
-    method = cfg.method or "formula"
-    if cfg.facet_path is not None and method != "hochster":
+def _run_betti(cfg: RunConfig) -> tuple[int, Document]:
+    if cfg.facet_path is not None and cfg.method != "hochster":
         raise ValueError("facet-file input supports only --method hochster")
-    field = cfg.fields[0]
-    table, n_vars = _betti_by_method(cfg, method, field)
-    if cfg.output_format == "structured":
-        doc = structured_document(
-            sizes=cfg.sizes,
-            k=cfg.k,
-            n_vars=n_vars,
-            method=method,
-            field=field.label if method == "hochster" else None,
-            betti=table,
-        )
-        return EXIT_OK, to_json(doc)
-    if cfg.output_format == "tabular":
-        return EXIT_OK, render_csv_table(table)
-    return EXIT_OK, render_paper_table(table)
-
-
-def _oracle_invariants(cfg: RunConfig, field: FieldSpec) -> tuple[RingInvariants, int]:
-    c = _build_complex(cfg)
-    table = hochster_betti(c, field, cfg.guard)
-    return invariants_from_table(table, c.n_vertices, c.dim), c.n_vertices
-
-
-def _run_invariants(cfg: RunConfig) -> tuple[int, str]:
-    method = cfg.method or "closed"
-    if cfg.facet_path is not None and method != "oracle":
-        raise ValueError("facet-file input supports only --method oracle")
-    if method == "closed":
-        q = _query(cfg)
-        inv, n_vars = invariants_closed(q), q.n_vars
-        field = None
-    elif method == "oracle":
-        field = cfg.fields[0]
-        inv, n_vars = _oracle_invariants(cfg, field)
+    if cfg.method == "hochster":
+        table, c = _oracle(cfg)
+        n_vars, field = c.n_vertices, cfg.fields[0].label
     else:
-        raise ValueError(f"unknown invariants method {method!r}")
-    if cfg.output_format == "structured":
-        doc = structured_document(
-            sizes=cfg.sizes,
-            k=cfg.k,
-            n_vars=n_vars,
-            method=method,
-            field=field.label if field else None,
-            invariants=inv,
-        )
-        return EXIT_OK, to_json(doc)
-    text = (
-        f"pd={inv.pd} reg={inv.reg} depth={inv.depth} "
-        f"krull_dim={inv.krull_dim} cohen_macaulay={'yes' if inv.is_cm else 'no'}\n"
-    )
-    return EXIT_OK, text
+        q = _query(cfg)
+        route = betti_closed if cfg.method == "formula" else betti_via_strand_subtraction
+        table, n_vars, field = route(q), q.n_vars, None
+    return EXIT_OK, Document(cfg.sizes, cfg.k, n_vars, cfg.method, field=field, betti=table)
 
 
-def _compare_tables(name_a: str, a: BettiTable, name_b: str, b: BettiTable) -> TableCheck:
-    keys = sorted(set(k for k, _ in a.nonzero()) | set(k for k, _ in b.nonzero()))
-    mismatches = tuple(
-        (i, j, a[(i, j)], b[(i, j)]) for (i, j) in keys if a[(i, j)] != b[(i, j)]
-    )
-    return TableCheck(name_a, name_b, not mismatches, mismatches)
+def _run_invariants(cfg: RunConfig) -> tuple[int, Document]:
+    if cfg.facet_path is not None and cfg.method != "oracle":
+        raise ValueError("facet-file input supports only --method oracle")
+    if cfg.method == "oracle":
+        table, c = _oracle(cfg)
+        inv = invariants_from_table(table, c.n_vertices, c.dim)
+        n_vars, field = c.n_vertices, cfg.fields[0].label
+    else:
+        q = _query(cfg)
+        inv, n_vars, field = invariants_closed(q), q.n_vars, None
+    return EXIT_OK, Document(cfg.sizes, cfg.k, n_vars, cfg.method, field=field, invariants=inv)
 
 
-def build_verification(cfg: RunConfig) -> VerificationReport:
-    """Run every applicable Betti method and compare all results pairwise.
-
-    Closed-form methods need at least two blocks and k >= 1; otherwise only
-    the homology oracle runs (over each requested field)."""
+def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
     if cfg.sizes is None:
         raise ValueError("verify needs --sizes")
-    k = cfg.k if cfg.k is not None else max(cfg.sizes) - 1
-    q = SkeletonQuery(cfg.sizes, k)
-    use_closed = q.block_count >= 2 and k >= 1
-    tables: list[tuple[str, BettiTable]] = []
-    if use_closed:
-        tables.append(("formula", betti_closed(q)))
-        tables.append(("strands", betti_via_strand_subtraction(q)))
-    base = build_fat_forest(FatForestSpec(cfg.sizes, cfg.gluing))
-    complex_k = skeleton(base, k)
-    for field in cfg.fields:
-        tables.append((f"hochster-{field.label}", hochster_betti(complex_k, field, cfg.guard)))
-    checks = []
-    for idx in range(len(tables)):
-        for jdx in range(idx + 1, len(tables)):
-            na, ta = tables[idx]
-            nb, tb = tables[jdx]
-            checks.append(_compare_tables(na, ta, nb, tb))
-    invariants: list[tuple[str, RingInvariants]] = []
-    if use_closed:
-        invariants.append(("closed", invariants_closed(q)))
-    for name, table in tables:
-        if name.startswith("hochster-"):
-            invariants.append(
-                (name, invariants_from_table(table, complex_k.n_vertices, complex_k.dim))
-            )
-    inv_checks = []
-    for idx in range(len(invariants)):
-        for jdx in range(idx + 1, len(invariants)):
-            na, ia = invariants[idx]
-            nb, ib = invariants[jdx]
-            inv_checks.append((na, nb, ia == ib))
-    return VerificationReport(
-        sizes=q.sizes,
-        k=k,
-        n_vars=q.n_vars,
-        tables=tuple(tables),
-        table_checks=tuple(checks),
-        invariants=tuple(invariants),
-        invariant_checks=tuple(inv_checks),
+    report = verify_routes(FatForestSpec(cfg.sizes, cfg.gluing), cfg.k, cfg.fields, cfg.guard)
+    doc = Document(
+        report.sizes,
+        report.k,
+        report.n_vars,
+        "verify",
+        field=",".join(f.label for f in cfg.fields),
+        betti=report.tables[0][1],
+        invariants=report.invariants[0][1],  # the closed forms' when they apply
+        agreement=report,
     )
+    return (EXIT_OK if report.passed else EXIT_DISAGREEMENT), doc
 
 
-def _verification_doc(report: VerificationReport) -> dict:
-    checks = []
-    for c in report.table_checks:
-        checks.append(
-            {
-                "first": c.first,
-                "second": c.second,
-                "equal": c.equal,
-                "mismatches": [
-                    {"i": i, "j": j, "first": str(a), "second": str(b)}
-                    for (i, j, a, b) in c.mismatches
-                ],
-            }
-        )
-    inv_checks = [
-        {"first": a, "second": b, "equal": ok} for a, b, ok in report.invariant_checks
-    ]
-    return {
-        "tables": {name: betti_doc(table) for name, table in report.tables},
-        "checks": checks,
-        "invariants": {name: invariants_doc(inv) for name, inv in report.invariants},
-        "invariant_checks": inv_checks,
-        "verdict": "pass" if report.passed else "fail",
-    }
-
-
-def _run_verify(cfg: RunConfig) -> tuple[int, str]:
-    report = build_verification(cfg)
-    code = EXIT_OK if report.passed else EXIT_DISAGREEMENT
-    if cfg.output_format == "structured":
-        name, table = report.tables[0]
-        doc = structured_document(
-            sizes=report.sizes,
-            k=report.k,
-            n_vars=report.n_vars,
-            method="verify",
-            field=",".join(f.label for f in cfg.fields),
-            betti=table,
-            invariants=dict(report.invariants).get("closed")
-            or report.invariants[0][1],
-            agreement=_verification_doc(report),
-        )
-        return code, to_json(doc)
-    lines = [
-        f"verify sizes={_tuple_text(report.sizes)} k={report.k} N={report.n_vars}",
-        "methods: " + ", ".join(name for name, _ in report.tables),
-    ]
-    for c in report.table_checks:
-        lines.append(f"  {c.first} == {c.second}: {'yes' if c.equal else 'NO'}")
-        for (i, j, a, b) in c.mismatches:
-            lines.append(f"    beta[{i},{j}]: {a} vs {b}")
-    for a, b, ok in report.invariant_checks:
-        lines.append(f"  invariants {a} == {b}: {'yes' if ok else 'NO'}")
-    lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
-    return code, "\n".join(lines) + "\n"
-
-
-def _run_identities(cfg: RunConfig) -> tuple[int, str]:
+def _run_identities(cfg: RunConfig) -> tuple[int, IdentityReport]:
     if cfg.sizes is None:
         raise ValueError("identities needs --sizes")
     report = identity_report(cfg.sizes)
-    code = EXIT_OK if report.all_equal else EXIT_DISAGREEMENT
-    if cfg.output_format == "structured":
-        doc = {
-            "sizes": list(report.sizes),
-            "N": report.n_vars,
-            "degrees": [
-                {
-                    "degree": rec.degree,
-                    "left": str(rec.left_value),
-                    "right": str(rec.right_value),
-                    "equal": rec.equal,
-                    "equation": rec.equation,
-                }
-                for rec in report.degrees
-            ],
-            "all_equal": report.all_equal,
-            "notes": list(report.notes),
-        }
-        return code, to_json(doc)
-    lines = [f"binomial identities for sizes={_tuple_text(report.sizes)}, N={report.n_vars}"]
-    for rec in report.degrees:
-        status = "ok" if rec.equal else "MISMATCH"
-        lines.append(
-            f"  degree {rec.degree}: {rec.equation}   [{rec.left_value} = {rec.right_value}] {status}"
-        )
-    lines.append(
-        f"{'all degrees agree' if report.all_equal else 'IDENTITY FAILURE'}"
-    )
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return code, "\n".join(lines) + "\n"
+    return (EXIT_OK if report.all_equal else EXIT_DISAGREEMENT), report
 
 
 def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
@@ -459,7 +241,7 @@ def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
         if k == 1:
             chunks.append(
                 "note: the diagonal-2 row above is "
-                + _tuple_text(VERIFIED_345_K1_DIAG2)
+                + tuple_text(VERIFIED_345_K1_DIAG2)
                 + ";"
             )
             chunks.append(
@@ -472,7 +254,7 @@ def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
                 "oracle over GF(2) and GF(3). An earlier tabulation of this row reads"
             )
             chunks.append(
-                _tuple_text(TABULATED_345_K1_DIAG2)
+                tuple_text(TABULATED_345_K1_DIAG2)
                 + ", which is inconsistent with the skeleton's"
             )
             chunks.append("own Hilbert series; the values above are the verified ones.")
@@ -569,13 +351,14 @@ def main(argv=None) -> int:
         args.field = ["gf2", "gf3"]
     try:
         cfg = _config(args)
-        code, text = _HANDLERS[args.command](cfg)
+        code, payload = _HANDLERS[args.command](cfg)
     except OracleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    text = render(payload, cfg.output_format)
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .polynomials import FVector
 
@@ -41,16 +41,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of a bitmask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _canonical_facets(masks: Iterable[int]) -> tuple[int, ...]:

@@ -22,16 +22,11 @@ from fatforest.complexes import (
     minimal_nonfaces,
     skeleton,
 )
-from fatforest.formulas import (
-    SkeletonQuery,
-    betti_closed,
-    betti_via_strand_subtraction,
-    invariants_closed,
-    skeleton_numerator,
-)
+from fatforest.formulas import SkeletonQuery, invariants_closed, skeleton_numerator
 from fatforest.homology import GF2, GF3, hochster_betti, reisner_is_cm
 from fatforest.identities import identity_report
 from fatforest.polynomials import numerator_from_fvector
+from fatforest.verify import verify_routes
 
 
 @contextmanager
@@ -80,21 +75,19 @@ K1_DIAG2_ORACLE = (15, 99, 280, 440, 415, 235, 74, 10)
 K1_DIAG2_TABULATED = (14, 92, 259, 405, 380, 214, 67, 9)
 
 
-def three_way(sizes, k, oracle, fields=(GF2,)):
-    q = SkeletonQuery(sizes, k)
-    formula = betti_closed(q)
-    strands = betti_via_strand_subtraction(q)
-    assert formula == strands
-    c = skeleton(build_fat_forest(FatForestSpec(sizes)), k)
-    for field in fields:
-        assert oracle(c, field) == formula
-    return formula
+def three_way(spec, k, fields=(GF2,)):
+    """The formula table, after every route agreed on it through verify_routes."""
+    report = verify_routes(spec, k, fields)
+    names = [name for name, _ in report.tables]
+    assert names == ["formula", "strands"] + [f"hochster-{f.label}" for f in fields]
+    assert report.passed, (spec, k, report.table_checks, report.invariant_checks)
+    return report.tables[0][1]
 
 
-def test_criterion_1_golden_k2(oracle):
+def test_criterion_1_golden_k2():
     with criterion(1, "golden reproduction k=2"):
         start = time.monotonic()
-        table = three_way((3, 4, 5), 2, oracle)
+        table = three_way(FatForestSpec((3, 4, 5)), 2)
         elapsed = time.monotonic() - start
         assert table.column_totals() == K2_TOTALS
         assert table.diagonal(1) == K2_DIAG1
@@ -102,16 +95,16 @@ def test_criterion_1_golden_k2(oracle):
         assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
 
 
-def test_criterion_2_golden_k3(oracle):
+def test_criterion_2_golden_k3():
     with criterion(2, "golden reproduction k=3"):
-        table = three_way((3, 4, 5), 3, oracle)
+        table = three_way(FatForestSpec((3, 4, 5)), 3)
         assert table.column_totals() == K3_TOTALS
         assert table.diagonal(4) == K3_DIAG4
 
 
-def test_criterion_3_k1_resolution(oracle, capsys):
+def test_criterion_3_k1_resolution(capsys):
     with criterion(3, "k=1 resolution by oracle"):
-        table = three_way((3, 4, 5), 1, oracle)
+        table = three_way(FatForestSpec((3, 4, 5)), 1)
         assert table.diagonal(1) == K1_DIAG1
         assert table.diagonal(2) == K1_DIAG2_ORACLE
         assert table.diagonal(2) != K1_DIAG2_TABULATED
@@ -136,18 +129,13 @@ def test_criterion_4_invariants(oracle):
             assert closed.is_cm == (k <= 1)
 
 
-def test_criterion_5_three_way_sweep(oracle, corpus):
+def test_criterion_5_three_way_sweep(corpus):
     with criterion(5, "three-way Betti equality sweep"):
         start = time.monotonic()
         cases = 0
-        for sizes, preset, base in corpus:
+        for sizes, preset, _ in corpus:
             for k in range(1, max(sizes) + 1):
-                q = SkeletonQuery(sizes, k)
-                formula = betti_closed(q)
-                assert betti_via_strand_subtraction(q) == formula
-                ck = skeleton(base, k)
-                assert oracle(ck, GF2) == formula, (sizes, preset, k, "gf2")
-                assert oracle(ck, GF3) == formula, (sizes, preset, k, "gf3")
+                three_way(FatForestSpec(sizes, preset), k, (GF2, GF3))
                 cases += 1
         elapsed = time.monotonic() - start
         assert cases == 110

@@ -1,19 +1,13 @@
 """CLI surface tests: formats, exit codes, golden tables, guards, files."""
 
 import json
+import time
 from pathlib import Path
 
 from fatforest.betti import BettiTable
-from fatforest.cli import (
-    EXIT_GUARD,
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_USAGE,
-    TableCheck,
-    VerificationReport,
-    _compare_tables,
-    main,
-)
+from fatforest.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from fatforest.verify import TableCheck, VerificationReport
+from fatforest.verify import compare_tables as _compare_tables
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,6 +251,47 @@ def test_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "banana")
     code, _, err = run(capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster")
     assert code == EXIT_INPUT
+
+
+def test_negative_guard_rejected(capsys, monkeypatch):
+    code, _, err = run(
+        capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster", "--guard", "-1"
+    )
+    assert code == EXIT_INPUT
+    assert "-1" in err
+    code, _, err = run(capsys, "invariants", "--sizes", "3,4", "-k", "1", "--guard", "-1")
+    assert code == EXIT_INPUT
+    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "-3")
+    code, _, err = run(capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster")
+    assert code == EXIT_INPUT
+    assert "-3" in err
+
+
+def test_guard_checked_before_building_the_complex(capsys):
+    # N = 40: the skeleton alone would take seconds to canonicalize
+    for argv in (
+        ["verify"],
+        ["betti", "--method", "hochster"],
+        ["invariants", "--method", "oracle"],
+    ):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--sizes", "14,14,14", "-k", "6")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_GUARD, argv
+        assert "40 vertices" in err
+        assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_structured_k_is_the_k_used(capsys, tmp_path):
+    for argv in (["fvector"], ["hilbert"], ["betti"], ["invariants"], ["verify"]):
+        code, out, _ = run(capsys, *argv, "--sizes", "2,3", "--format", "structured")
+        assert code == EXIT_OK
+        assert json.loads(out)["k"] == 2, argv
+    path = tmp_path / "complex.txt"
+    path.write_text("0 1 2\n")
+    code, out, _ = run(capsys, "fvector", "--facets", str(path), "--format", "structured")
+    assert code == EXIT_OK
+    assert json.loads(out)["k"] is None
 
 
 def test_bad_sizes_exit_code(capsys):
