@@ -43,7 +43,7 @@ def main(argv=None):
                 continue
             for preset in presets:
                 for k in range(1, max(sizes) + 1):
-                    report = verify_routes(FatForestSpec(sizes, preset), k, fields)
+                    report = verify_routes(FatForestSpec(sizes, preset), k, fields, args.max_vertices)
                     cases += 1
                     if report.passed:
                         print(f"ok   sizes={sizes} preset={preset} k={k}")

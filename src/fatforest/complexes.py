@@ -44,13 +44,24 @@ def bits_of(mask: int) -> tuple[int, ...]:
 
 
 def _canonical_facets(masks: Iterable[int]) -> tuple[int, ...]:
+    """Distinct nonzero masks that no other mask contains, sorted by (size, mask).
+
+    containing[v] has bit p set when the mask at position p contains vertex v,
+    so the AND over the vertices of a mask marks every mask containing it.
+    Sorting by size puts every proper superset at a later position.
+    """
     uniq = sorted({m for m in masks if m}, key=lambda m: (m.bit_count(), m))
+    containing: dict[int, int] = {}
+    for pos, m in enumerate(uniq):
+        for v in bits_of(m):
+            containing[v] = containing.get(v, 0) | 1 << pos
     keep = []
-    for idx, m in enumerate(uniq):
-        size = m.bit_count()
-        if any(m & ~o == 0 for o in uniq[idx + 1 :] if o.bit_count() > size):
-            continue
-        keep.append(m)
+    for pos, m in enumerate(uniq):
+        supersets = -1
+        for v in bits_of(m):
+            supersets &= containing[v]
+        if not supersets >> (pos + 1):
+            keep.append(m)
     return tuple(keep)
 
 

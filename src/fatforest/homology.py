@@ -1,5 +1,10 @@
 """Ground-truth engine: reduced simplicial homology over exact fields, the
-exhaustive Hochster subset sweep, and the link-homology Cohen-Macaulay test.
+Hochster subset sweep, and the link-homology Cohen-Macaulay test.
+
+The sweep covers all 2^N vertex subsets but computes homology only once per
+orbit of the twin-class permutations, and only for the connected components
+of each subset's induced subcomplex. Both reductions rest on homology and
+facet-set symmetry alone, never on the closed forms the oracle checks.
 
 Boundary ranks are computed by dense Gaussian elimination: bitmask rows over
 GF(2), modular arithmetic over GF(p), fractions over the rationals. The
@@ -10,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import comb, isqrt
 
 from .betti import BettiTable
-from .complexes import SimplicialComplex, link
+from .complexes import SimplicialComplex, bits_of, link
 
 DEFAULT_GUARD = 24
 
@@ -203,41 +209,116 @@ def reduced_homology_dims(
     return _homology_dims(c.faces_by_size(), field)
 
 
+def _twin_classes(c: SimplicialComplex) -> list[list[int]]:
+    """Vertices grouped by facet-preserving transpositions, each class ascending.
+
+    u and v are twins when swapping them maps the facet set onto itself.
+    Twinship is transitive, since (u w) = (u v)(v w)(u v), so each vertex is
+    tested only against the first member of every class found so far.
+    """
+    facets = set(c.facets)
+    classes: list[list[int]] = []
+    for v in range(c.n_vertices):
+        for cls in classes:
+            swap = (1 << cls[0]) | (1 << v)
+            if all(
+                (f ^ swap if (f & swap).bit_count() == 1 else f) in facets
+                for f in c.facets
+            ):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def hochster_betti(
     c: SimplicialComplex, field: FieldSpec = GF2, guard: int = DEFAULT_GUARD
 ) -> BettiTable:
-    """Graded Betti numbers of the face ring of c by exhaustive subset sweep:
+    """Graded Betti numbers of the face ring of c by Hochster's formula:
     every vertex subset S of size j contributes dim H_{j-i-1} of the induced
     subcomplex on S to the (i, j) entry.
 
-    Deterministic: subsets are visited in ascending mask order and results
-    only ever accumulate, so any internal partitioning cannot change output.
+    The sweep visits one subset per orbit of the twin classes (see
+    _twin_classes): for class counts (t_1, ..., t_m) it takes the first t_r
+    vertices of class r and weights that subset's homology by
+    prod C(|class_r|, t_r), the number of subsets the class permutations carry
+    it to. A subset that is a face is acyclic and skipped. Otherwise its
+    induced subcomplex splits into the connected components of its 1-skeleton:
+    reduced homology is the sum over the components, plus (components - 1) in
+    degree 0. A component that is a face is acyclic. The homology of a
+    component of a disconnected subset recurs in other subsets, so it is
+    cached by vertex mask for the duration of the call; a connected subset is
+    met only once as a whole, so it is not cached. A subset holding only
+    vertices that lie in no facet induces {empty face}, whose reduced
+    homology is 1 in degree -1. Results only ever accumulate, so the visiting
+    order cannot change the output.
     """
     n = c.n_vertices
     if n > guard:
         raise OracleGuardError(n, guard)
     table = BettiTable(n)
     table.add(0, 0, 1)
-    all_faces = sorted(c.faces())
-    nonempty = [f for f in all_faces if f]
-    for selection in range(1, 1 << n):
+    faces = c.faces()
+    nonempty = sorted(f for f in faces if f)
+    used = 0
+    neighbours = [0] * n
+    for f in c.facets:
+        used |= f
+        for v in bits_of(f):
+            neighbours[v] |= f
+    component_dims: dict[int, tuple[int, ...]] = {}
+    options = []
+    for cls in _twin_classes(c):
+        prefix = 0
+        choices = [(0, 1)]
+        for t, v in enumerate(cls, start=1):
+            prefix |= 1 << v
+            choices.append((prefix, comb(len(cls), t)))
+        options.append(choices)
+    for orbit in product(*options):
+        selection = 0
+        weight = 1
+        for prefix, count in orbit:
+            selection |= prefix
+            weight *= count
         # a selection inside a facet induces a full simplex, which is acyclic
-        if c.is_face(selection):
+        if selection in faces:
             continue
-        chosen = [f for f in nonempty if f & ~selection == 0]
-        if chosen:
-            top = max(f.bit_count() for f in chosen)
-            buckets: list[list[int]] = [[] for _ in range(top + 1)]
-            buckets[0].append(0)
-            for f in chosen:
-                buckets[f.bit_count()].append(f)
-        else:
-            buckets = [[0]]
-        dims = _homology_dims(buckets, field)
         j = selection.bit_count()
-        for idx, h in enumerate(dims):
-            if h:
-                table.add(j - idx, j, h)
+        support = rest = selection & used
+        if not rest:
+            table.add(j, j, weight)
+            continue
+        components = 0
+        while rest:
+            component = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = neighbours[low.bit_length() - 1] & rest & ~component
+                component |= grown
+                frontier |= grown
+            rest ^= component
+            components += 1
+            if component in faces:
+                continue
+            dims = component_dims.get(component)
+            if dims is None:
+                chosen = [f for f in nonempty if f & ~component == 0]
+                top = max(f.bit_count() for f in chosen)
+                buckets: list[list[int]] = [[] for _ in range(top + 1)]
+                buckets[0].append(0)
+                for f in chosen:
+                    buckets[f.bit_count()].append(f)
+                dims = _homology_dims(buckets, field)
+                if component != support:
+                    component_dims[component] = dims
+            for idx, h in enumerate(dims):
+                if h:
+                    table.add(j - idx, j, h * weight)
+        if components > 1:
+            table.add(j - 1, j, (components - 1) * weight)
     return table
 
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from itertools import combinations
 from pathlib import Path
 
 from fatforest.betti import BettiTable
@@ -280,6 +281,19 @@ def test_guard_checked_before_building_the_complex(capsys):
         assert code == EXIT_GUARD, argv
         assert "40 vertices" in err
         assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_large_facet_file_reaches_the_guard_quickly(capsys, tmp_path):
+    # all 14,950 4-subsets of 26 vertices: canonicalizing them pairwise took
+    # seconds before the guard was ever consulted
+    path = tmp_path / "quads.facets"
+    path.write_text("".join(" ".join(map(str, q)) + "\n" for q in combinations(range(26), 4)))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "betti", "--method", "hochster", "--facets", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_GUARD
+    assert "26 vertices" in err
+    assert elapsed < 1.0, elapsed
 
 
 def test_structured_k_is_the_k_used(capsys, tmp_path):

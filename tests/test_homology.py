@@ -4,14 +4,17 @@ surface to confirm field dependence, the Hochster sweep, and the CM routes."""
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import forest_specs
-from fatforest.betti import invariants_from_table
+from fatforest.betti import BettiTable, invariants_from_table
 from fatforest.complexes import (
     FatForestSpec,
     SimplicialComplex,
     build_fat_forest,
     f_vector,
+    induced_subcomplex,
+    parse_facet_lines,
     skeleton,
     vertex_mask,
 )
@@ -30,8 +33,24 @@ from fatforest.homology import (
 from fatforest.polynomials import numerator_from_fvector
 
 
+FIELDS = (GF2, GF3, RATIONALS)
+
+
 def mask(*vertices):
     return vertex_mask(vertices)
+
+
+def reference_betti(c, field):
+    """Hochster's formula taken literally: every one of the 2^N subsets, with
+    no orbit, component or face shortcut."""
+    table = BettiTable(c.n_vertices)
+    for selection in range(1 << c.n_vertices):
+        dims = reduced_homology_dims(induced_subcomplex(c, selection), field, guard=64)
+        j = selection.bit_count()
+        for idx, h in enumerate(dims):
+            if h:
+                table.add(j - idx, j, h)
+    return table
 
 
 def test_fieldspec_parsing():
@@ -114,6 +133,80 @@ def test_rp2_homology_depends_on_the_field():
     assert reduced_homology_dims(rp2, GF2) == (0, 0, 1, 1)
     assert reduced_homology_dims(rp2, GF3) == (0, 0, 0, 0)
     assert reduced_homology_dims(rp2, RATIONALS) == (0, 0, 0, 0)
+
+
+def test_rp2_sweep_equals_reference_and_depends_on_the_field():
+    rp2 = SimplicialComplex(6, tuple(mask(*t) for t in RP2_TRIANGLES))
+    tables = {field: hochster_betti(rp2, field) for field in FIELDS}
+    for field, table in tables.items():
+        assert table == reference_betti(rp2, field)
+    assert tables[GF2] != tables[GF3]
+    assert tables[GF3] == tables[RATIONALS]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FatForestSpec((3, 4, 4), "chain-distinct"),
+        FatForestSpec((3, 4, 4), "star"),
+        FatForestSpec((3, 4, 4), ((2, 1), (3, 4))),
+        FatForestSpec((2, 2, 2, 2, 3), "chain-distinct"),
+        FatForestSpec((2, 2, 2, 2, 3), "star"),
+        FatForestSpec((2, 3, 2, 3), ((2, 0), (3, 1), (4, 4))),
+    ],
+    ids=str,
+)
+def test_sweep_equals_reference_on_fat_forest_skeleta(spec):
+    base = build_fat_forest(spec)
+    for k in range(base.dim + 1):
+        c = skeleton(base, k)
+        for field in FIELDS:
+            assert hochster_betti(c, field) == reference_betti(c, field), (k, field)
+
+
+@given(forest_specs(max_blocks=4, max_block=5, max_vertices=9), st.integers(0, 4))
+@settings(max_examples=20)
+def test_sweep_equals_reference_on_random_skeleta(spec, k):
+    c = skeleton(build_fat_forest(spec), k)
+    for field in FIELDS:
+        assert hochster_betti(c, field) == reference_betti(c, field)
+
+
+@st.composite
+def facet_complexes(draw, max_vertices=9):
+    """Random facet lists; labels that no facet uses stay in the universe."""
+    n = draw(st.integers(0, max_vertices))
+    if n == 0:
+        return SimplicialComplex(0, ())
+    facet = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 5))
+    facets = draw(st.lists(facet, max_size=7))
+    return SimplicialComplex(n, tuple(vertex_mask(f) for f in facets))
+
+
+@given(facet_complexes())
+@settings(max_examples=25)
+def test_sweep_equals_reference_on_random_complexes(c):
+    for field in FIELDS:
+        assert hochster_betti(c, field) == reference_betti(c, field)
+
+
+def test_selection_of_unused_vertices_only_is_counted():
+    # vertices 1 and 3 lie in no facet, so {1}, {3} and {1, 3} induce
+    # {empty face}: reduced homology 1 in degree -1
+    c = SimplicialComplex(6, (mask(0, 2, 4, 5),))
+    table = hochster_betti(c)
+    assert table == reference_betti(c, GF2)
+    assert table.nonzero() == [((0, 0), 1), ((1, 1), 2), ((2, 2), 1)]
+
+
+def test_unused_labels_are_variables_that_are_nonfaces():
+    c = parse_facet_lines("0 1\n5 6\n")
+    assert c.n_vertices == 7
+    assert f_vector(c).entries == (1, 4, 2)
+    table = hochster_betti(c)
+    assert table[(1, 1)] == 3
+    for field in FIELDS:
+        assert hochster_betti(c, field) == reference_betti(c, field)
 
 
 def test_hochster_path_is_koszul():

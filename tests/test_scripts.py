@@ -18,3 +18,15 @@ def test_three_way_sweep_small_corpus(capsys):
     assert sweep.main(["--max-blocks", "2", "--max-block", "3"]) == 0
     out = capsys.readouterr().out
     assert "16 cases, 0 failures" in out
+
+
+def test_three_way_sweep_beyond_the_default_guard(capsys):
+    # the star of 24 edges has 25 vertices; the sweep passes --max-vertices
+    # as the oracle guard
+    sweep = load_script("three_way_sweep")
+    argv = [
+        "--min-blocks", "24", "--max-blocks", "24", "--min-block", "2", "--max-block", "2",
+        "--max-vertices", "25", "--fields", "gf2", "--presets", "star",
+    ]
+    assert sweep.main(argv) == 0
+    assert "2 cases, 0 failures" in capsys.readouterr().out
