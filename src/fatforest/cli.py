@@ -93,9 +93,13 @@ def _parse_gluing(text: str):
     return tuple(pairs)
 
 
-def _config(args) -> RunConfig:
+def _oracle_options(args) -> tuple[tuple[FieldSpec, ...], int]:
+    """--field and --guard (or the environment's guard) of a subcommand that
+    declares them; the others never read either."""
+    if not hasattr(args, "guard"):
+        return (), DEFAULT_GUARD
     guard_default = os.environ.get(GUARD_ENV)
-    if getattr(args, "guard", None) is not None:
+    if args.guard is not None:
         guard = args.guard
     elif guard_default is not None:
         try:
@@ -108,6 +112,11 @@ def _config(args) -> RunConfig:
         raise ValueError(
             f"oracle guard {guard} is negative; --guard and {GUARD_ENV} take a vertex count >= 0"
         )
+    return tuple(FieldSpec.parse(f) for f in args.field or ["gf2"]), guard
+
+
+def _config(args) -> RunConfig:
+    fields, guard = _oracle_options(args)
     sizes = _parse_sizes(args.sizes) if getattr(args, "sizes", None) else None
     facet_path = getattr(args, "facets", None)
     if sizes is not None and facet_path is not None:
@@ -115,7 +124,6 @@ def _config(args) -> RunConfig:
     k = getattr(args, "k", None)
     if k is None and sizes is not None:
         k = max(sizes) - 1  # the whole complex
-    fields = tuple(FieldSpec.parse(f) for f in getattr(args, "field", None) or ["gf2"])
     return RunConfig(
         sizes=sizes,
         k=k,
@@ -273,7 +281,9 @@ _HANDLERS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *, oracle: bool = False, formats: bool = True):
+def _add_common(
+    p: argparse.ArgumentParser, *, facets: bool = False, oracle: bool = False, formats: bool = True
+):
     p.add_argument("--sizes", help="comma-separated block sizes, e.g. 3,4,5")
     p.add_argument("-k", type=int, default=None, help="skeleton parameter (faces of dimension <= k)")
     p.add_argument(
@@ -293,6 +303,7 @@ def _add_common(p: argparse.ArgumentParser, *, oracle: bool = False, formats: bo
             default=None,
             help=f"max vertices the exhaustive oracle accepts (default {DEFAULT_GUARD}, env {GUARD_ENV})",
         )
+    if facets:
         p.add_argument("--facets", help="facet-list file instead of --sizes")
     if formats:
         p.add_argument(
@@ -316,22 +327,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fvector", help="face counts of a skeleton")
-    _add_common(p, oracle=True)
+    _add_common(p, facets=True)
 
     p = sub.add_parser("hilbert", help="Hilbert-series numerator over (1-t)^N")
-    _add_common(p, oracle=True)
+    _add_common(p, facets=True)
     p.add_argument("--method", choices=["closed", "from-complex"], default="closed")
 
     p = sub.add_parser("betti", help="graded Betti table")
-    _add_common(p, oracle=True)
+    _add_common(p, facets=True, oracle=True)
     p.add_argument("--method", choices=["formula", "strands", "hochster"], default="formula")
 
     p = sub.add_parser("invariants", help="pd, reg, depth, Krull dimension, CM flag")
-    _add_common(p, oracle=True)
+    _add_common(p, facets=True, oracle=True)
     p.add_argument("--method", choices=["closed", "oracle"], default="closed")
 
     p = sub.add_parser("verify", help="run all methods and compare everything")
-    _add_common(p, oracle=True)
+    _add_common(p, facets=True, oracle=True)
 
     p = sub.add_parser("identities", help="binomial identities from the two numerators")
     _add_common(p)

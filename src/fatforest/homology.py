@@ -1,21 +1,23 @@
 """Ground-truth engine: reduced simplicial homology over exact fields, the
 Hochster subset sweep, and the link-homology Cohen-Macaulay test.
 
-The sweep covers all 2^N vertex subsets but computes homology only once per
-orbit of the twin-class permutations, and only for the connected components
-of each subset's induced subcomplex. Both reductions rest on homology and
-facet-set symmetry alone, never on the closed forms the oracle checks.
+All homology runs on one kernel, _ChainReducer: the column reduction of
+persistent homology (Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson
+2005) on an induced subcomplex that grows one vertex at a time and can undo
+its last step. A whole complex is its vertices added in order. The sweep
+covers all 2^N vertex subsets but visits one per orbit of the twin-class
+permutations, depth first, adding and undoing one vertex per step, so no
+subset is built from scratch. The orbit reduction rests on facet-set symmetry
+alone, never on the closed forms the oracle checks.
 
-Boundary ranks are computed by dense Gaussian elimination: bitmask rows over
-GF(2), modular arithmetic over GF(p), fractions over the rationals. The
-complexes these oracles see are tiny, so nothing sparser is warranted.
+Columns are sparse: int bitmasks over GF(2), {row: coefficient} dicts over
+GF(p) and Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, isqrt
 
 from .betti import BettiTable
@@ -97,107 +99,100 @@ GF3 = FieldSpec(3)
 RATIONALS = FieldSpec(0)
 
 
-def _rank_gf2(columns: list[int]) -> int:
-    """Rank of a GF(2) matrix whose columns are row-index bitmasks."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for vec in columns:
-        while vec:
-            top = vec.bit_length() - 1
-            piv = pivots.get(top)
-            if piv is None:
-                pivots[top] = vec
-                rank += 1
-                break
-            vec ^= piv
-    return rank
+class _ChainReducer:
+    """Reduced homology of an induced subcomplex of c that grows one vertex
+    at a time, by the column reduction of persistent homology.
 
+    add(v, selection) brings in the faces of c that contain v and lie inside
+    selection (which holds v). Every face is listed in the star of each of
+    its vertices, sorted by size, so the boundary of a new face is present
+    before the face itself. A new face takes the next row index among the
+    faces of its size, so no earlier column gains an entry: each new column
+    either reduces to zero or adds one pivot, keyed by its lowest (largest)
+    row. undo() drops the faces and pivots of the last add, and dims() is
+    then nullity minus rank in every degree.
 
-def _rank_gfp(columns: list[list[int]], p: int) -> int:
-    pivots: list[tuple[int, list[int]]] = []
-    rank = 0
-    for vec in columns:
-        v = list(vec)
-        for row, pivot in pivots:
-            c = v[row] % p
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, pivot)]
-        for row, a in enumerate(v):
-            a %= p
-            if a:
-                inv = pow(a, p - 2, p)
-                pivots.append((row, [(x * inv) % p for x in v]))
-                rank += 1
-                break
-    return rank
-
-
-def _rank_exact(columns: list[list[int]]) -> int:
-    pivots: list[tuple[int, list[Fraction]]] = []
-    rank = 0
-    for vec in columns:
-        v = [Fraction(x) for x in vec]
-        for row, pivot in pivots:
-            c = v[row]
-            if c:
-                v = [a - c * b for a, b in zip(v, pivot)]
-        for row, a in enumerate(v):
-            if a:
-                pivots.append((row, [x / a for x in v]))
-                rank += 1
-                break
-    return rank
-
-
-def _boundary_ranks(faces_by_size: list[list[int]], field: FieldSpec) -> list[int]:
-    """ranks[s] = rank of the boundary map from size-s faces to size-(s-1) faces."""
-    top = len(faces_by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        index = {m: i for i, m in enumerate(faces_by_size[s - 1])}
-        if field.characteristic == 2:
-            cols = []
-            for face in faces_by_size[s]:
-                col = 0
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    col |= 1 << index[face ^ low]
-                    rest ^= low
-                cols.append(col)
-            ranks[s] = _rank_gf2(cols)
-        else:
-            m = len(faces_by_size[s - 1])
-            cols = []
-            for face in faces_by_size[s]:
-                vec = [0] * m
-                sign = 1
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    vec[index[face ^ low]] = sign
-                    sign = -sign
-                    rest ^= low
-                cols.append(vec)
-            if field.characteristic:
-                ranks[s] = _rank_gfp(cols, field.characteristic)
-            else:
-                ranks[s] = _rank_exact(cols)
-    return ranks
-
-
-def _homology_dims(faces_by_size: list[list[int]], field: FieldSpec) -> tuple[int, ...]:
-    """Reduced homology dimensions in degrees -1..top for a downward-closed
-    face family; faces_by_size[0] must be [0] (the empty face).
-
-    Uses the augmented chain complex: the boundary of a vertex is the empty
-    face, and dim H_d = nullity(boundary_d) - rank(boundary_{d+1}).
+    Over GF(2) a column is an int bitmask of rows. Over GF(p) and Q it is a
+    sparse {row: coefficient} dict, and stored pivots are scaled to 1 at
+    their low row; over Q only a pivot other than 1 or -1 makes a Fraction.
     """
-    top = len(faces_by_size) - 1
-    ranks = _boundary_ranks(faces_by_size, field)
-    return tuple(
-        len(faces_by_size[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1)
-    )
+
+    def __init__(self, c: SimplicialComplex, field: FieldSpec):
+        self.p = field.characteristic
+        top = c.dim + 1
+        self.stars: list[list[int]] = [[] for _ in range(c.n_vertices)]
+        for f in sorted(c.faces(), key=int.bit_count)[1:]:  # all but the empty face
+            for v in bits_of(f):
+                self.stars[v].append(f)
+        # rows of faces dropped by undo() stay here; no present face reads them
+        self.row = {0: 0}
+        self.counts = [1] + [0] * top
+        # pivots[s]: low row -> reduced boundary column of a size-s face
+        self.pivots: list[dict] = [{} for _ in range(top + 2)]
+        self.history: list[list[tuple[int, int | None]]] = []
+
+    def add(self, v: int, selection: int) -> None:
+        step = []
+        outside = ~selection
+        for f in self.stars[v]:
+            if f & outside:
+                continue
+            s = f.bit_count()
+            self.row[f] = self.counts[s]
+            self.counts[s] += 1
+            step.append((s, self._reduce(f, self.pivots[s])))
+        self.history.append(step)
+
+    def undo(self) -> None:
+        for s, low in self.history.pop():
+            self.counts[s] -= 1
+            if low is not None:
+                del self.pivots[s][low]
+
+    def dims(self) -> tuple[int, ...]:
+        """Reduced Betti numbers in degrees -1 .. dim c."""
+        pivots = self.pivots
+        return tuple(n - len(pivots[s]) - len(pivots[s + 1]) for s, n in enumerate(self.counts))
+
+    def _reduce(self, f: int, pivots: dict) -> int | None:
+        """Reduce the boundary column of f; store and return its pivot row,
+        or None when it reduces to zero."""
+        row, p = self.row, self.p
+        if p == 2:
+            col = 0
+            rest = f
+            while rest:
+                low = rest & -rest
+                col |= 1 << row[f ^ low]
+                rest ^= low
+            while col:
+                low = col.bit_length() - 1
+                piv = pivots.get(low)
+                if piv is None:
+                    pivots[low] = col
+                    return low
+                col ^= piv
+            return None
+        col = {row[f ^ 1 << v]: -1 if i & 1 else 1 for i, v in enumerate(bits_of(f))}
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            a = col[low]
+            if piv is None:
+                inv = pow(a, -1, p) if p else Fraction(1, a)
+                if inv.denominator == 1:  # keeps coefficients over Q ints while it can
+                    inv = inv.numerator
+                pivots[low] = {r: x * inv % p if p else x * inv for r, x in col.items()}
+                return low
+            for r, x in piv.items():
+                y = col.get(r, 0) - a * x
+                if p:
+                    y %= p
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+        return None
 
 
 def reduced_homology_dims(
@@ -206,7 +201,10 @@ def reduced_homology_dims(
     """Dimensions of the reduced homology of c in degrees -1 .. dim c."""
     if c.n_vertices > guard:
         raise OracleGuardError(c.n_vertices, guard)
-    return _homology_dims(c.faces_by_size(), field)
+    kernel = _ChainReducer(c, field)
+    for v in range(c.n_vertices):
+        kernel.add(v, (2 << v) - 1)
+    return kernel.dims()
 
 
 def _twin_classes(c: SimplicialComplex) -> list[list[int]]:
@@ -243,82 +241,37 @@ def hochster_betti(
     _twin_classes): for class counts (t_1, ..., t_m) it takes the first t_r
     vertices of class r and weights that subset's homology by
     prod C(|class_r|, t_r), the number of subsets the class permutations carry
-    it to. A subset that is a face is acyclic and skipped. Otherwise its
-    induced subcomplex splits into the connected components of its 1-skeleton:
-    reduced homology is the sum over the components, plus (components - 1) in
-    degree 0. A component that is a face is acyclic. The homology of a
-    component of a disconnected subset recurs in other subsets, so it is
-    cached by vertex mask for the duration of the call; a connected subset is
-    met only once as a whole, so it is not cached. A subset holding only
-    vertices that lie in no facet induces {empty face}, whose reduced
-    homology is 1 in degree -1. Results only ever accumulate, so the visiting
-    order cannot change the output.
+    it to. It walks the counts depth first, class by class, on one
+    _ChainReducer: each step adds one vertex to the induced subcomplex and
+    backtracking undoes it, so no subset is rebuilt from scratch. The empty
+    subset and a subset of vertices that lie in no facet induce {empty face},
+    whose reduced homology is 1 in degree -1.
     """
     n = c.n_vertices
     if n > guard:
         raise OracleGuardError(n, guard)
     table = BettiTable(n)
-    table.add(0, 0, 1)
-    faces = c.faces()
-    nonempty = sorted(f for f in faces if f)
-    used = 0
-    neighbours = [0] * n
-    for f in c.facets:
-        used |= f
-        for v in bits_of(f):
-            neighbours[v] |= f
-    component_dims: dict[int, tuple[int, ...]] = {}
-    options = []
-    for cls in _twin_classes(c):
-        prefix = 0
-        choices = [(0, 1)]
-        for t, v in enumerate(cls, start=1):
-            prefix |= 1 << v
-            choices.append((prefix, comb(len(cls), t)))
-        options.append(choices)
-    for orbit in product(*options):
-        selection = 0
-        weight = 1
-        for prefix, count in orbit:
-            selection |= prefix
-            weight *= count
-        # a selection inside a facet induces a full simplex, which is acyclic
-        if selection in faces:
-            continue
-        j = selection.bit_count()
-        support = rest = selection & used
-        if not rest:
-            table.add(j, j, weight)
-            continue
-        components = 0
-        while rest:
-            component = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown = neighbours[low.bit_length() - 1] & rest & ~component
-                component |= grown
-                frontier |= grown
-            rest ^= component
-            components += 1
-            if component in faces:
-                continue
-            dims = component_dims.get(component)
-            if dims is None:
-                chosen = [f for f in nonempty if f & ~component == 0]
-                top = max(f.bit_count() for f in chosen)
-                buckets: list[list[int]] = [[] for _ in range(top + 1)]
-                buckets[0].append(0)
-                for f in chosen:
-                    buckets[f.bit_count()].append(f)
-                dims = _homology_dims(buckets, field)
-                if component != support:
-                    component_dims[component] = dims
-            for idx, h in enumerate(dims):
+    kernel = _ChainReducer(c, field)
+    classes = _twin_classes(c)
+
+    def walk(r: int, selection: int, weight: int) -> None:
+        if r == len(classes):
+            j = selection.bit_count()
+            for idx, h in enumerate(kernel.dims()):
                 if h:
                     table.add(j - idx, j, h * weight)
-        if components > 1:
-            table.add(j - 1, j, (components - 1) * weight)
+            return
+        walk(r + 1, selection, weight)
+        cls = classes[r]
+        for t, v in enumerate(cls, start=1):
+            selection |= 1 << v
+            kernel.add(v, selection)
+            walk(r + 1, selection, weight * comb(len(cls), t))
+        for _ in cls:
+            kernel.undo()
+
+    walk(0, 0, 1)
+    del walk  # it holds itself through its closure; without this the kernel waits for the gc
     return table
 
 

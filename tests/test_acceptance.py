@@ -23,7 +23,7 @@ from fatforest.complexes import (
     skeleton,
 )
 from fatforest.formulas import SkeletonQuery, invariants_closed, skeleton_numerator
-from fatforest.homology import GF2, GF3, hochster_betti, reisner_is_cm
+from fatforest.homology import GF2, GF3, RATIONALS, hochster_betti, reisner_is_cm
 from fatforest.identities import identity_report
 from fatforest.polynomials import numerator_from_fvector
 from fatforest.verify import verify_routes
@@ -135,7 +135,7 @@ def test_criterion_5_three_way_sweep(corpus):
         cases = 0
         for sizes, preset, _ in corpus:
             for k in range(1, max(sizes) + 1):
-                three_way(FatForestSpec(sizes, preset), k, (GF2, GF3))
+                three_way(FatForestSpec(sizes, preset), k, (GF2, GF3, RATIONALS))
                 cases += 1
         elapsed = time.monotonic() - start
         assert cases == 110

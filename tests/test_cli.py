@@ -268,6 +268,21 @@ def test_negative_guard_rejected(capsys, monkeypatch):
     assert "-3" in err
 
 
+def test_guard_variable_is_read_only_by_oracle_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "banana")
+    for argv in (
+        ["identities", "--sizes", "3,3"],
+        ["paper-examples"],
+        ["fvector", "--sizes", "3,4", "-k", "1"],
+        ["hilbert", "--sizes", "3,4", "-k", "1"],
+    ):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+    # fvector and hilbert never run the oracle, so they take neither flag
+    for argv in (["--field", "gf4"], ["--guard", "5"]):
+        for command in ("fvector", "hilbert"):
+            assert run(capsys, command, "--sizes", "3,4", *argv)[0] == EXIT_USAGE
+
+
 def test_guard_checked_before_building_the_complex(capsys):
     # N = 40: the skeleton alone would take seconds to canonicalize
     for argv in (

@@ -1,6 +1,8 @@
 """Homology oracle tests: small complexes with known answers, a torsion
 surface to confirm field dependence, the Hochster sweep, and the CM routes."""
 
+import gc
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fatforest.betti import BettiTable, invariants_from_table
 from fatforest.complexes import (
     FatForestSpec,
     SimplicialComplex,
+    bits_of,
     build_fat_forest,
     f_vector,
     induced_subcomplex,
@@ -24,8 +27,6 @@ from fatforest.homology import (
     RATIONALS,
     FieldSpec,
     OracleGuardError,
-    _rank_exact,
-    _rank_gfp,
     hochster_betti,
     reduced_homology_dims,
     reisner_is_cm,
@@ -41,8 +42,10 @@ def mask(*vertices):
 
 
 def reference_betti(c, field):
-    """Hochster's formula taken literally: every one of the 2^N subsets, with
-    no orbit, component or face shortcut."""
+    """Hochster's formula taken literally: every one of the 2^N subsets, each
+    induced afresh, with no orbit shortcut and no undo. It shares the homology
+    kernel with the sweep; test_reduced_homology_equals_sympy_ranks checks
+    that kernel against sympy."""
     table = BettiTable(c.n_vertices)
     for selection in range(1 << c.n_vertices):
         dims = reduced_homology_dims(induced_subcomplex(c, selection), field, guard=64)
@@ -64,17 +67,6 @@ def test_fieldspec_parsing():
         FieldSpec.parse("zz")
     with pytest.raises(ValueError):
         FieldSpec.gf(1 << 31)
-
-
-def test_rank_helpers_against_sympy():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    cols = [list(col) for col in zip(*rows)]
-    assert _rank_exact(cols) == sympy.Matrix(rows).rank()
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    dm = DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(GF(5))
-    assert _rank_gfp(cols, 5) == dm.rank()
 
 
 def test_circle_homology():
@@ -144,6 +136,21 @@ def test_rp2_sweep_equals_reference_and_depends_on_the_field():
     assert tables[GF3] == tables[RATIONALS]
 
 
+def test_suspended_rp2_has_torsion_in_a_middle_degree():
+    # the suspension of RP2 (cone points 6 and 7) shifts its 2-torsion up one
+    # degree: GF(2) sees H_2 and H_3, GF(3) and Q see nothing
+    facets = [t + (cone,) for t in RP2_TRIANGLES for cone in (6, 7)]
+    suspension = SimplicialComplex(8, tuple(mask(*f) for f in facets))
+    assert len(suspension.facets) == 20 and suspension.dim == 3
+    assert reduced_homology_dims(suspension, GF2) == (0, 0, 0, 1, 1)
+    assert reduced_homology_dims(suspension, GF3) == (0, 0, 0, 0, 0)
+    assert reduced_homology_dims(suspension, RATIONALS) == (0, 0, 0, 0, 0)
+    tables = {field: hochster_betti(suspension, field) for field in FIELDS}
+    for field, table in tables.items():
+        assert table == reference_betti(suspension, field)
+    assert tables[GF2] != tables[RATIONALS]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -181,6 +188,36 @@ def facet_complexes(draw, max_vertices=9):
     facet = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 5))
     facets = draw(st.lists(facet, max_size=7))
     return SimplicialComplex(n, tuple(vertex_mask(f) for f in facets))
+
+
+def sympy_boundary_ranks(c, domain):
+    """ranks[s] = rank of the signed boundary map from size-s to size-(s-1)
+    faces of c, computed by sympy over the given domain (QQ or GF(p))."""
+    from sympy.polys.matrices import DomainMatrix
+
+    by_size = c.faces_by_size()
+    ranks = [0] * (len(by_size) + 1)
+    for s in range(1, len(by_size)):
+        index = {f: i for i, f in enumerate(by_size[s - 1])}
+        rows = [[0] * len(by_size[s]) for _ in by_size[s - 1]]
+        for col, f in enumerate(by_size[s]):
+            for i, v in enumerate(bits_of(f)):
+                rows[index[f ^ 1 << v]][col] = (-1) ** i
+        matrix = sympy.Matrix(rows)
+        ranks[s] = DomainMatrix.from_Matrix(matrix).convert_to(domain).rank()
+        if domain == sympy.QQ:
+            assert ranks[s] == matrix.rank()
+    return ranks
+
+
+@given(facet_complexes(max_vertices=7))
+@settings(max_examples=25, deadline=None)
+def test_reduced_homology_equals_sympy_ranks(c):
+    counts = f_vector(c).entries
+    for field, domain in ((RATIONALS, sympy.QQ), (FieldSpec.gf(5), sympy.GF(5))):
+        ranks = sympy_boundary_ranks(c, domain)
+        expected = tuple(n - ranks[s] - ranks[s + 1] for s, n in enumerate(counts))
+        assert reduced_homology_dims(c, field) == expected
 
 
 @given(facet_complexes())
@@ -284,6 +321,18 @@ def test_two_cm_routes_agree(spec):
     c = build_fat_forest(spec)
     inv = invariants_from_table(hochster_betti(c), c.n_vertices, c.dim)
     assert reisner_is_cm(c) == inv.is_cm
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    # the kernel is freed when the sweep returns, not at the next gc pass
+    c = skeleton(build_fat_forest(FatForestSpec((4, 4, 5))), 2)
+    gc.collect()
+    gc.disable()
+    try:
+        hochster_betti(c, RATIONALS)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_guard_reports_offending_size():

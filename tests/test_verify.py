@@ -1,10 +1,11 @@
 """Three-way checks far beyond the reach of a 2^N subset sweep: the closed
-formula, strand subtraction and the Hochster oracle on skeleta with N = 21..28."""
+formula, strand subtraction and the Hochster oracle on skeleta with N = 16..28,
+over GF(2), GF(3) and Q."""
 
 import pytest
 
 from fatforest.complexes import FatForestSpec
-from fatforest.homology import GF2
+from fatforest.homology import GF2, GF3, RATIONALS
 from fatforest.verify import verify_routes
 
 
@@ -22,4 +23,20 @@ def test_three_routes_agree_beyond_the_default_guard(sizes, k, gluing):
     n = sum(sizes) - (len(sizes) - 1)
     report = verify_routes(FatForestSpec(sizes, gluing), k, (GF2,), guard=n)
     assert [name for name, _ in report.tables] == ["formula", "strands", "hochster-gf2"]
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "sizes, k, gluing, fields",
+    [
+        ((6, 6, 6), 3, "star", (GF3, RATIONALS)),
+        ((7, 7, 7), 3, "chain-distinct", (RATIONALS,)),
+        ((8, 8, 8), 3, "star", (RATIONALS,)),
+    ],
+)
+def test_three_routes_agree_over_odd_characteristic_and_rationals(sizes, k, gluing, fields):
+    n = sum(sizes) - (len(sizes) - 1)
+    report = verify_routes(FatForestSpec(sizes, gluing), k, fields, guard=n)
+    names = ["formula", "strands"] + [f"hochster-{field.label}" for field in fields]
+    assert [name for name, _ in report.tables] == names
     assert report.passed
