@@ -26,24 +26,29 @@ def parse_args(argv=None):
     parser.add_argument("--max-vertices", type=int, default=12)
     parser.add_argument("--fields", default="gf2,gf3")
     parser.add_argument("--presets", default="chain-distinct,star")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:
+        args.fields = [FieldSpec.parse(f) for f in args.fields.split(",")]
+        # FatForestSpec is the one checker of preset names
+        args.presets = [FatForestSpec((2,), p).gluing for p in args.presets.split(",")]
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args
 
 
 def main(argv=None):
     args = parse_args(argv)
-    fields = [FieldSpec.parse(f) for f in args.fields.split(",")]
-    presets = args.presets.split(",")
     start = time.monotonic()
     cases = failures = 0
     for e in range(args.min_blocks, args.max_blocks + 1):
         for sizes in combinations_with_replacement(
             range(args.min_block, args.max_block + 1), e
         ):
-            if sum(sizes) - (e - 1) > args.max_vertices:
+            if FatForestSpec(sizes).n_vars > args.max_vertices:
                 continue
-            for preset in presets:
+            for preset in args.presets:
                 for k in range(1, max(sizes) + 1):
-                    report = verify_routes(FatForestSpec(sizes, preset), k, fields, args.max_vertices)
+                    report = verify_routes(FatForestSpec(sizes, preset), k, args.fields, args.max_vertices)
                     cases += 1
                     if report.passed:
                         print(f"ok   sizes={sizes} preset={preset} k={k}")

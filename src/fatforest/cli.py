@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification disagreement or failed identity,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -42,8 +41,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_GUARD = 4
 
-GUARD_ENV = "FATFOREST_ORACLE_GUARD"
-
 # Verified diagonal-2 row of the k=1 table for blocks (3,4,5), and the row an
 # earlier tabulation gives instead; all three methods here reject the latter.
 VERIFIED_345_K1_DIAG2 = (15, 99, 280, 440, 415, 235, 74, 10)
@@ -54,9 +51,8 @@ TABULATED_345_K1_DIAG2 = (14, 92, 259, 405, 380, 214, 67, 9)
 class RunConfig:
     """Everything one invocation needs, assembled from parsed flags."""
 
-    sizes: tuple[int, ...] | None
+    spec: FatForestSpec | None
     k: int | None
-    gluing: str | tuple[tuple[int, int], ...]
     fields: tuple[FieldSpec, ...]
     guard: int
     output_format: str
@@ -64,28 +60,25 @@ class RunConfig:
     method: str | None = None
     facet_path: str | None = None
 
+    @property
+    def sizes(self) -> tuple[int, ...] | None:
+        return None if self.spec is None else self.spec.sizes
+
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ValueError(f"bad --sizes value {text!r}; expected comma-separated integers") from None
-    if not sizes:
-        raise ValueError("--sizes must name at least one block")
-    return sizes
 
 
 def _parse_gluing(text: str):
-    if text in ("chain-distinct", "star"):
+    """A preset name as given (FatForestSpec checks it), or i:v pairs."""
+    if ":" not in text:
         return text
     pairs = []
     for chunk in text.split(","):
-        if ":" not in chunk:
-            raise ValueError(
-                f"bad --gluing value {text!r}; expected chain-distinct, star, "
-                f"or pairs like 2:0,3:4"
-            )
-        i, v = chunk.split(":", 1)
+        i, _, v = chunk.partition(":")
         try:
             pairs.append((int(i), int(v)))
         except ValueError:
@@ -94,40 +87,31 @@ def _parse_gluing(text: str):
 
 
 def _oracle_options(args) -> tuple[tuple[FieldSpec, ...], int]:
-    """--field and --guard (or the environment's guard) of a subcommand that
-    declares them; the others never read either."""
+    """--field and --guard of a subcommand that declares them; the others
+    never read either."""
     if not hasattr(args, "guard"):
         return (), DEFAULT_GUARD
-    guard_default = os.environ.get(GUARD_ENV)
-    if args.guard is not None:
-        guard = args.guard
-    elif guard_default is not None:
-        try:
-            guard = int(guard_default)
-        except ValueError:
-            raise ValueError(f"bad {GUARD_ENV} value {guard_default!r}") from None
-    else:
-        guard = DEFAULT_GUARD
-    if guard < 0:
-        raise ValueError(
-            f"oracle guard {guard} is negative; --guard and {GUARD_ENV} take a vertex count >= 0"
-        )
-    return tuple(FieldSpec.parse(f) for f in args.field or ["gf2"]), guard
+    if args.guard < 0:
+        raise ValueError(f"oracle guard {args.guard} is negative; --guard takes a vertex count >= 0")
+    return tuple(FieldSpec.parse(f) for f in args.field or ["gf2"]), args.guard
 
 
 def _config(args) -> RunConfig:
+    """Parse and validate the flags once; a --sizes request becomes one
+    FatForestSpec that every handler reads."""
     fields, guard = _oracle_options(args)
-    sizes = _parse_sizes(args.sizes) if getattr(args, "sizes", None) else None
     facet_path = getattr(args, "facets", None)
-    if sizes is not None and facet_path is not None:
-        raise ValueError("--sizes and --facets are mutually exclusive")
+    spec = None
+    if getattr(args, "sizes", None):
+        if facet_path is not None:
+            raise ValueError("--sizes and --facets are mutually exclusive")
+        spec = FatForestSpec(_parse_sizes(args.sizes), _parse_gluing(args.gluing))
     k = getattr(args, "k", None)
-    if k is None and sizes is not None:
-        k = max(sizes) - 1  # the whole complex
+    if k is None and spec is not None:
+        k = max(spec.sizes) - 1  # the whole complex
     return RunConfig(
-        sizes=sizes,
+        spec=spec,
         k=k,
-        gluing=_parse_gluing(getattr(args, "gluing", None) or "chain-distinct"),
         fields=fields,
         guard=guard,
         output_format=getattr(args, "format", "paper-table"),
@@ -141,26 +125,26 @@ def _build_complex(cfg: RunConfig) -> SimplicialComplex:
     if cfg.facet_path is not None:
         with open(cfg.facet_path, "r", encoding="utf-8") as handle:
             c = parse_facet_lines(handle.read())
-    elif cfg.sizes is None:
+    elif cfg.spec is None:
         raise ValueError("either --sizes or --facets is required")
     else:
-        c = build_fat_forest(FatForestSpec(cfg.sizes, cfg.gluing))
+        c = build_fat_forest(cfg.spec)
     return c if cfg.k is None else skeleton(c, cfg.k)
 
 
 def _oracle(cfg: RunConfig) -> tuple[BettiTable, SimplicialComplex]:
     """Hochster table over the first --field and the complex it ran on. A
     --sizes spec is held to the guard before anything is built."""
-    if cfg.sizes is not None:
-        check_oracle_guard(FatForestSpec(cfg.sizes, cfg.gluing), cfg.guard)
+    if cfg.spec is not None:
+        check_oracle_guard(cfg.spec, cfg.guard)
     c = _build_complex(cfg)
     return hochster_betti(c, cfg.fields[0], cfg.guard), c
 
 
 def _query(cfg: RunConfig) -> SkeletonQuery:
-    if cfg.sizes is None:
+    if cfg.spec is None:
         raise ValueError("this method needs --sizes")
-    return SkeletonQuery(cfg.sizes, cfg.k)
+    return SkeletonQuery(cfg.spec.sizes, cfg.k)
 
 
 def _run_fvector(cfg: RunConfig) -> tuple[int, Document]:
@@ -209,9 +193,9 @@ def _run_invariants(cfg: RunConfig) -> tuple[int, Document]:
 
 
 def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
-    if cfg.sizes is None:
+    if cfg.spec is None:
         raise ValueError("verify needs --sizes")
-    report = verify_routes(FatForestSpec(cfg.sizes, cfg.gluing), cfg.k, cfg.fields, cfg.guard)
+    report = verify_routes(cfg.spec, cfg.k, cfg.fields, cfg.guard)
     doc = Document(
         report.sizes,
         report.k,
@@ -226,26 +210,25 @@ def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
 
 
 def _run_identities(cfg: RunConfig) -> tuple[int, IdentityReport]:
-    if cfg.sizes is None:
+    if cfg.spec is None:
         raise ValueError("identities needs --sizes")
-    report = identity_report(cfg.sizes)
+    report = identity_report(cfg.spec.sizes)
     return (EXIT_OK if report.all_equal else EXIT_DISAGREEMENT), report
 
 
 def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
-    sizes = (3, 4, 5)
+    spec = FatForestSpec((3, 4, 5))
     chunks = [
         "Betti tables for the skeletons of the blocks-(3,4,5) complex",
         "(columns: homological position i; row d holds the entries with j - i = d; '.' is zero)",
         "",
     ]
     for k in (1, 2, 3):
-        q = SkeletonQuery(sizes, k)
-        table = betti_closed(q)
-        if table != betti_via_strand_subtraction(q):
-            raise RuntimeError(f"strand subtraction disagrees with the formula at k={k}")
+        report = verify_routes(spec, k, (), DEFAULT_GUARD)
+        if not report.passed:
+            raise RuntimeError(f"the closed routes disagree at k={k}")
         chunks.append(f"k = {k}")
-        chunks.append(render_paper_table(table).rstrip("\n"))
+        chunks.append(render_paper_table(report.tables[0][1]).rstrip("\n"))
         if k == 1:
             chunks.append(
                 "note: the diagonal-2 row above is "
@@ -288,7 +271,7 @@ def _add_common(
     p.add_argument("-k", type=int, default=None, help="skeleton parameter (faces of dimension <= k)")
     p.add_argument(
         "--gluing",
-        default=None,
+        default="chain-distinct",
         help="chain-distinct (default), star, or explicit pairs like 2:0,3:4",
     )
     if oracle:
@@ -300,8 +283,8 @@ def _add_common(
         p.add_argument(
             "--guard",
             type=int,
-            default=None,
-            help=f"max vertices the exhaustive oracle accepts (default {DEFAULT_GUARD}, env {GUARD_ENV})",
+            default=DEFAULT_GUARD,
+            help=f"max vertices the exhaustive oracle accepts (default {DEFAULT_GUARD})",
         )
     if facets:
         p.add_argument("--facets", help="facet-list file instead of --sizes")
@@ -363,18 +346,18 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         code, payload = _HANDLERS[args.command](cfg)
+        text = render(payload, cfg.output_format)
+        if cfg.out_path:
+            with open(cfg.out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except OracleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = render(payload, cfg.output_format)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -9,7 +9,7 @@ exponential long before that matters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable
 
 from .polynomials import FVector
@@ -118,6 +118,9 @@ class SimplicialComplex:
         return buckets
 
 
+GLUING_PRESETS = ("chain-distinct", "star")
+
+
 @dataclass(frozen=True)
 class FatForestSpec:
     """Sizes and gluing schedule for a union of simplices glued at single points.
@@ -126,6 +129,10 @@ class FatForestSpec:
     vertex of the previous block, so the attachment points are all distinct),
     "star" (every block attached at vertex 0 of the first block), or an
     explicit tuple of (block index >= 2, vertex index in the partial union).
+
+    Construction validates the spec: at least one block, every size at least
+    2, a known preset, and an explicit schedule naming each block 2..e once
+    with a target inside the union of the blocks before it.
     """
 
     sizes: tuple[int, ...]
@@ -133,22 +140,46 @@ class FatForestSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not isinstance(self.gluing, str):
-            object.__setattr__(
-                self, "gluing", tuple((int(i), int(v)) for i, v in self.gluing)
-            )
+        if not self.sizes:
+            raise ValueError("at least one block is required")
+        for s in self.sizes:
+            if s < 2:
+                raise ValueError(f"block sizes must be at least 2, got {s}")
+        if isinstance(self.gluing, str):
+            if self.gluing not in GLUING_PRESETS:
+                raise ValueError(
+                    f"unknown gluing preset {self.gluing!r}; expected "
+                    f"{', '.join(GLUING_PRESETS)} or explicit (block, vertex) pairs"
+                )
+            return
+        schedule = tuple((int(i), int(v)) for i, v in self.gluing)
+        object.__setattr__(self, "gluing", schedule)
+        if sorted(i for i, _ in schedule) != list(range(2, len(self.sizes) + 1)):
+            raise ValueError("explicit gluing must name each block 2..e exactly once")
+        seen = self._union_sizes()
+        for i, v in schedule:
+            if not 0 <= v < seen[i - 2]:
+                raise ValueError(
+                    f"gluing target {v} for block {i} is outside the current {seen[i - 2]} vertices"
+                )
 
+    def _union_sizes(self) -> list[int]:
+        """Vertex count of the union of blocks 1..i-1, for each block i = 2..e."""
+        return [1 + t for t in accumulate(s - 1 for s in self.sizes[:-1])]
 
-def _explicit_schedule(spec: FatForestSpec) -> dict[int, int]:
-    e = len(spec.sizes)
-    mapping: dict[int, int] = {}
-    for i, v in spec.gluing:  # type: ignore[union-attr]
-        if i in mapping:
-            raise ValueError(f"duplicate gluing entry for block {i}")
-        mapping[i] = v
-    if sorted(mapping) != list(range(2, e + 1)):
-        raise ValueError("explicit gluing must name each block 2..e exactly once")
-    return mapping
+    @property
+    def n_vars(self) -> int:
+        """Vertex count: block sizes minus the glued points."""
+        return sum(self.sizes) - (len(self.sizes) - 1)
+
+    @property
+    def gluing_vertices(self) -> tuple[int, ...]:
+        """The vertex each block 2..e is glued at, in block order."""
+        if self.gluing == "star":
+            return (0,) * (len(self.sizes) - 1)
+        if self.gluing == "chain-distinct":
+            return tuple(n - 1 for n in self._union_sizes())
+        return tuple(v for _, v in sorted(self.gluing))
 
 
 def build_fat_forest(spec: FatForestSpec) -> SimplicialComplex:
@@ -158,46 +189,16 @@ def build_fat_forest(spec: FatForestSpec) -> SimplicialComplex:
     Block 1 takes vertices 0..n1-1; each later block reuses its gluing vertex
     and takes the next fresh indices in order, so the labeling is deterministic.
     """
-    sizes = spec.sizes
-    if not sizes:
-        raise ValueError("at least one block is required")
-    for s in sizes:
-        if s < 2:
-            raise ValueError(f"block sizes must be at least 2, got {s}")
-    e = len(sizes)
-    n_total = sum(sizes) - (e - 1)
+    n_total = spec.n_vars
     if n_total > MAX_VERTICES:
         raise ValueError(f"{n_total} vertices exceeds the {MAX_VERTICES}-vertex limit")
-
-    explicit = None
-    if isinstance(spec.gluing, str):
-        if spec.gluing not in ("chain-distinct", "star"):
-            raise ValueError(f"unknown gluing preset {spec.gluing!r}")
-    else:
-        explicit = _explicit_schedule(spec)
-
-    first = (1 << sizes[0]) - 1
-    facets = [first]
-    union = first
-    next_vertex = sizes[0]
-    for idx in range(1, e):
-        if explicit is not None:
-            target = explicit[idx + 1]
-        elif spec.gluing == "star":
-            target = 0
-        else:
-            target = next_vertex - 1
-        if not 0 <= target < next_vertex:
-            raise ValueError(
-                f"gluing target {target} for block {idx + 1} is outside the "
-                f"current {next_vertex} vertices"
-            )
-        mask = 1 << target
-        for v in range(next_vertex, next_vertex + sizes[idx] - 1):
-            mask |= 1 << v
-        next_vertex += sizes[idx] - 1
-        if (mask & union).bit_count() != 1:
-            raise ValueError(f"block {idx + 1} meets the earlier blocks in more than one vertex")
+    union = (1 << spec.sizes[0]) - 1
+    facets = [union]
+    next_vertex = spec.sizes[0]
+    for size, target in zip(spec.sizes[1:], spec.gluing_vertices):
+        mask = 1 << target | ((1 << (size - 1)) - 1) << next_vertex
+        next_vertex += size - 1
+        assert (mask & union).bit_count() == 1, "a block meets the earlier ones in one vertex"
         facets.append(mask)
         union |= mask
     assert next_vertex == n_total

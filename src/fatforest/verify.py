@@ -59,9 +59,8 @@ def check_oracle_guard(spec: FatForestSpec, guard: int) -> None:
     The count comes from the sizes alone, so an oversized request is rejected
     before the complex and its skeleton (quadratic in the facet count) are built.
     """
-    n = sum(spec.sizes) - (len(spec.sizes) - 1)
-    if n > guard:
-        raise OracleGuardError(n, guard)
+    if spec.n_vars > guard:
+        raise OracleGuardError(spec.n_vars, guard)
 
 
 def verify_routes(

@@ -238,23 +238,14 @@ def test_guard_violation_exit_code(capsys):
     )
     assert code == EXIT_GUARD
     assert "guard" in err and "10" in err
-
-
-def test_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "5")
-    code, _, err = run(capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster")
-    assert code == EXIT_GUARD
-    # explicit flag beats the environment
-    code, out, _ = run(
+    # a guard equal to N admits it
+    code, _, _ = run(
         capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster", "--guard", "6"
     )
     assert code == EXIT_OK
-    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "banana")
-    code, _, err = run(capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster")
-    assert code == EXIT_INPUT
 
 
-def test_negative_guard_rejected(capsys, monkeypatch):
+def test_negative_guard_rejected(capsys):
     code, _, err = run(
         capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster", "--guard", "-1"
     )
@@ -262,21 +253,9 @@ def test_negative_guard_rejected(capsys, monkeypatch):
     assert "-1" in err
     code, _, err = run(capsys, "invariants", "--sizes", "3,4", "-k", "1", "--guard", "-1")
     assert code == EXIT_INPUT
-    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "-3")
-    code, _, err = run(capsys, "betti", "--sizes", "3,4", "-k", "1", "--method", "hochster")
-    assert code == EXIT_INPUT
-    assert "-3" in err
 
 
-def test_guard_variable_is_read_only_by_oracle_subcommands(capsys, monkeypatch):
-    monkeypatch.setenv("FATFOREST_ORACLE_GUARD", "banana")
-    for argv in (
-        ["identities", "--sizes", "3,3"],
-        ["paper-examples"],
-        ["fvector", "--sizes", "3,4", "-k", "1"],
-        ["hilbert", "--sizes", "3,4", "-k", "1"],
-    ):
-        assert run(capsys, *argv)[0] == EXIT_OK, argv
+def test_oracle_flags_only_on_oracle_subcommands(capsys):
     # fvector and hilbert never run the oracle, so they take neither flag
     for argv in (["--field", "gf4"], ["--guard", "5"]):
         for command in ("fvector", "hilbert"):
@@ -347,6 +326,37 @@ def test_out_path_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text() == (GOLDEN / "delta_3_4_5_k2.txt").read_text()
+
+
+def test_gluing_schedule_checked_by_every_sizes_subcommand(capsys):
+    # sizes 3,4: block 2 sees the 3 vertices of block 1, and there is no block 3
+    expected = {
+        "2:9": "error: gluing target 9 for block 2 is outside the current 3 vertices\n",
+        "3:0": "error: explicit gluing must name each block 2..e exactly once\n",
+    }
+    for gluing, message in expected.items():
+        for argv in (
+            ["fvector"],
+            ["hilbert"],
+            ["betti", "--method", "formula"],
+            ["betti", "--method", "strands"],
+            ["betti", "--method", "hochster"],
+            ["invariants", "--method", "closed"],
+            ["invariants", "--method", "oracle"],
+            ["verify"],
+            ["identities"],
+        ):
+            code, out, err = run(capsys, *argv, "--sizes", "3,4", "--gluing", gluing)
+            assert (code, out, err) == (EXIT_INPUT, "", message), argv
+
+
+def test_unwritable_out_path_is_invalid_input(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "--sizes", "3,4", "--out", str(target))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_gluing_flag_accepted(capsys):

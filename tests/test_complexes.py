@@ -20,6 +20,7 @@ from fatforest.complexes import (
     skeleton,
     vertex_mask,
 )
+from fatforest.formulas import SkeletonQuery
 
 
 def mask(*vertices):
@@ -55,18 +56,54 @@ def test_build_explicit_schedule():
 
 
 def test_build_rejects_bad_specs():
+    # the spec rejects everything its sizes decide on construction
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec((1, 3)))
+        FatForestSpec((1, 3))
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec(()))
+        FatForestSpec(())
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec((40, 30)))  # 69 vertices
+        FatForestSpec((2, 2), ((2, 5),))  # target out of range
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec((2, 2), ((2, 5),)))  # target out of range
+        FatForestSpec((2, 2, 2), ((2, 0),))  # block 3 missing
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec((2, 2, 2), ((2, 0),)))  # block 3 missing
+        FatForestSpec((2, 2, 2), ((2, 0), (2, 1), (3, 0)))  # block 2 twice
     with pytest.raises(ValueError):
-        build_fat_forest(FatForestSpec((2, 2), "ring"))
+        FatForestSpec((2, 2), "ring")
+    # the 64-vertex limit is the builder's: closed forms run far beyond it
+    spec = FatForestSpec((40, 30))
+    assert spec.n_vars == 69
+    with pytest.raises(ValueError, match="64-vertex limit"):
+        build_fat_forest(spec)
+
+
+@st.composite
+def raw_schedules(draw):
+    """Block sizes and an explicit schedule, in any order, whose targets may
+    overshoot the union of the earlier blocks."""
+    sizes = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    pairs = [(i, draw(st.integers(0, sum(sizes)))) for i in range(2, len(sizes) + 1)]
+    return sizes, tuple(draw(st.permutations(pairs)))
+
+
+@given(raw_schedules())
+def test_spec_rejects_exactly_the_targets_outside_the_partial_union(case):
+    sizes, schedule = case
+    # block i sees the n_1 + ... + n_{i-1} - (i - 2) vertices of the blocks before it
+    inside = all(v < sum(sizes[: i - 1]) - (i - 2) for i, v in schedule)
+    if not inside:
+        with pytest.raises(ValueError, match="outside the current"):
+            FatForestSpec(sizes, schedule)
+        return
+    spec = FatForestSpec(sizes, schedule)
+    c = build_fat_forest(spec)
+    assert c.n_vertices == spec.n_vars == SkeletonQuery(sizes, 1).n_vars
+    # each block's largest vertex is fresh, so that orders facets by attachment
+    blocks = sorted(c.facets, key=int.bit_length)
+    assert [f.bit_count() for f in blocks] == list(sizes)
+    union = blocks[0]
+    for i, f in enumerate(blocks[1:], start=2):
+        assert f & union == 1 << dict(schedule)[i]
+        union |= f
 
 
 @given(forest_specs())

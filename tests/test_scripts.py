@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
@@ -30,3 +32,14 @@ def test_three_way_sweep_beyond_the_default_guard(capsys):
     ]
     assert sweep.main(argv) == 0
     assert "2 cases, 0 failures" in capsys.readouterr().out
+
+
+def test_three_way_sweep_rejects_bad_fields_and_presets(capsys):
+    sweep = load_script("three_way_sweep")
+    for argv, word in ((["--fields", "gf4"], "gf4"), (["--presets", "ring"], "ring")):
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ": error: " in err.splitlines()[-1] and word in err.splitlines()[-1]
