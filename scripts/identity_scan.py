@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scan the binomial-identity families over all block-size multisets up to a
 size bound and report any degree where the two numerator computations differ.
+`fatforest identities --sizes ...` prints every equation of one size list.
 
 Example:
-    python scripts/identity_scan.py --max-block 12 --max-blocks 4 --show 3,3
+    python scripts/identity_scan.py --max-block 12 --max-blocks 4
 """
 
 import argparse
@@ -11,17 +12,14 @@ import sys
 import time
 from itertools import combinations_with_replacement
 
-from fatforest.identities import identity_report, render_identity
+from fatforest.identities import identity_report
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-block", type=int, default=12)
     parser.add_argument("--max-blocks", type=int, default=4)
-    parser.add_argument(
-        "--show", default=None, help="also print every equation for these sizes, e.g. 3,3"
-    )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     start = time.monotonic()
     checked = failed = 0
@@ -35,15 +33,6 @@ def main():
                     print(f"FAIL sizes={sizes} degree={rec.degree}: {rec.equation}")
     elapsed = time.monotonic() - start
     print(f"{checked} size lists checked, {failed} failing degrees, {elapsed:.2f}s")
-
-    if args.show:
-        sizes = tuple(int(tok) for tok in args.show.split(","))
-        report = identity_report(sizes)
-        print(f"\nequations for sizes={sizes}:")
-        for rec in report.degrees:
-            print(f"  degree {rec.degree}: {render_identity(report, rec.degree)}")
-        for note in report.notes:
-            print(f"note: {note}")
     return 1 if failed else 0
 
 

@@ -45,6 +45,13 @@ EXIT_GUARD = 4
 # earlier tabulation gives instead; all three methods here reject the latter.
 VERIFIED_345_K1_DIAG2 = (15, 99, 280, 440, 415, 235, 74, 10)
 TABULATED_345_K1_DIAG2 = (14, 92, 259, 405, 380, 214, 67, 9)
+_PAPER_NOTE_345_K1 = f"""\
+note: the diagonal-2 row above is {tuple_text(VERIFIED_345_K1_DIAG2)};
+the closed formula and the Hilbert-series strand subtraction agree on it
+exactly, and the bundled test suite confirms it against the homology
+oracle over GF(2) and GF(3). An earlier tabulation of this row reads
+{tuple_text(TABULATED_345_K1_DIAG2)}, which is inconsistent with the skeleton's
+own Hilbert series; the values above are the verified ones."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,8 @@ def _oracle_options(args) -> tuple[tuple[FieldSpec, ...], int]:
         return (), DEFAULT_GUARD
     if args.guard < 0:
         raise ValueError(f"oracle guard {args.guard} is negative; --guard takes a vertex count >= 0")
+    if args.command != "verify" and len(args.field or ()) > 1:
+        raise ValueError("--field may be given more than once only with verify")
     return tuple(FieldSpec.parse(f) for f in args.field or ["gf2"]), args.guard
 
 
@@ -156,11 +165,12 @@ def _run_fvector(cfg: RunConfig) -> tuple[int, Document]:
 
 
 def _run_hilbert(cfg: RunConfig) -> tuple[int, Document]:
-    method = cfg.method
-    if cfg.facet_path is not None or method == "from-complex":
+    method = cfg.method or ("closed" if cfg.facet_path is None else "from-complex")
+    if cfg.facet_path is not None and method != "from-complex":
+        raise ValueError("facet-file input supports only --method from-complex")
+    if method == "from-complex":
         c = _build_complex(cfg)
         num = numerator_from_fvector(f_vector(c), c.n_vertices)
-        method = "from-complex"
     else:
         num = skeleton_numerator(_query(cfg))
     return EXIT_OK, Document(cfg.sizes, cfg.k, num.n_vars, method, numerator=num)
@@ -230,25 +240,7 @@ def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
         chunks.append(f"k = {k}")
         chunks.append(render_paper_table(report.tables[0][1]).rstrip("\n"))
         if k == 1:
-            chunks.append(
-                "note: the diagonal-2 row above is "
-                + tuple_text(VERIFIED_345_K1_DIAG2)
-                + ";"
-            )
-            chunks.append(
-                "the closed formula and the Hilbert-series strand subtraction agree on it"
-            )
-            chunks.append(
-                "exactly, and the bundled test suite confirms it against the homology"
-            )
-            chunks.append(
-                "oracle over GF(2) and GF(3). An earlier tabulation of this row reads"
-            )
-            chunks.append(
-                tuple_text(TABULATED_345_K1_DIAG2)
-                + ", which is inconsistent with the skeleton's"
-            )
-            chunks.append("own Hilbert series; the values above are the verified ones.")
+            chunks.append(_PAPER_NOTE_345_K1)
         chunks.append("")
     return EXIT_OK, "\n".join(chunks)
 
@@ -314,7 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert-series numerator over (1-t)^N")
     _add_common(p, facets=True)
-    p.add_argument("--method", choices=["closed", "from-complex"], default="closed")
+    p.add_argument(
+        "--method",
+        choices=["closed", "from-complex"],
+        help="default closed with --sizes; from-complex, the only choice, with --facets",
+    )
 
     p = sub.add_parser("betti", help="graded Betti table")
     _add_common(p, facets=True, oracle=True)

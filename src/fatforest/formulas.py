@@ -60,24 +60,6 @@ class SkeletonQuery:
         return sum(binomial(s, j) for s in self.sizes)
 
 
-@dataclass(frozen=True)
-class StrandVector:
-    """One diagonal of a Betti table: values[m] is the entry at homological
-    position m + 1 on diagonal j - i = diagonal. Trailing zeros are trimmed."""
-
-    diagonal: int
-    values: tuple[int, ...]
-    degenerate: bool = False  # single block: no degree-2 generators at all
-
-    def __post_init__(self):
-        vals = list(self.values)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        if any(v < 0 for v in vals):
-            raise ValueError("strand values must be nonnegative")
-        object.__setattr__(self, "values", tuple(vals))
-
-
 def skeleton_f_vector(q: SkeletonQuery) -> FVector:
     """(1, N, c_2, ..., c_{s+1}) where c_j counts the j-vertex faces inside
     blocks and s is the skeleton dimension."""
@@ -87,35 +69,49 @@ def skeleton_f_vector(q: SkeletonQuery) -> FVector:
     return FVector(tuple(entries))
 
 
+def glued_blocks_terms(sizes) -> tuple[tuple[int, int, int], ...]:
+    """The glued-blocks numerator sum_s (1-t)^{N-n_s} - (e-1)(1-t)^{N-1} as
+    terms (c, a, m), each meaning c t^a (1-t)^m."""
+    q = SkeletonQuery(tuple(sizes), 0)
+    n_vars = q.n_vars
+    return tuple((1, 0, n_vars - s) for s in q.sizes) + ((1 - q.block_count, 0, n_vars - 1),)
+
+
+def skeleton_terms(q: SkeletonQuery) -> tuple[tuple[int, int, int], ...]:
+    """The face-count numerator sum_i f_i t^i (1-t)^{N-i} of the k-skeleton
+    as terms (c, a, m), each meaning c t^a (1-t)^m."""
+    n_vars = q.n_vars
+    return tuple((f, i, n_vars - i) for i, f in enumerate(skeleton_f_vector(q).entries))
+
+
+def _expand(n_vars: int, terms) -> HilbertNumerator:
+    poly = IntPolynomial()
+    for c, a, m in terms:
+        poly = poly + c * one_minus_t_power(m).shifted(a)
+    return HilbertNumerator(n_vars, poly)
+
+
 def fatforest_numerator(sizes) -> HilbertNumerator:
     """Numerator of sum_s 1/(1-t)^{n_s} - (e-1)/(1-t) over (1-t)^N."""
     q = SkeletonQuery(tuple(sizes), 0)
-    n_vars = q.n_vars
-    poly = IntPolynomial()
-    for s in q.sizes:
-        poly = poly + one_minus_t_power(n_vars - s)
-    poly = poly - (q.block_count - 1) * one_minus_t_power(n_vars - 1)
-    return HilbertNumerator(n_vars, poly)
+    return _expand(q.n_vars, glued_blocks_terms(q.sizes))
 
 
 def skeleton_numerator(q: SkeletonQuery) -> HilbertNumerator:
     """Numerator (1-t)^N + N t (1-t)^{N-1} + sum_{i=2}^{s+1} c_i t^i (1-t)^{N-i}."""
-    n_vars = q.n_vars
-    poly = one_minus_t_power(n_vars) + n_vars * one_minus_t_power(n_vars - 1).shifted(1)
-    for i in range(2, q.top_dim + 2):
-        poly = poly + q.block_faces(i) * one_minus_t_power(n_vars - i).shifted(i)
-    return HilbertNumerator(n_vars, poly)
+    return _expand(q.n_vars, skeleton_terms(q))
 
 
-def linear_strand(sizes) -> StrandVector:
-    """Diagonal j - i = 1: entry i is (e-1) C(N-1, i+1) - sum_s C(N-n_s, i+1).
+def linear_strand(sizes) -> tuple[int, ...]:
+    """Diagonal j - i = 1, entries at i = 1..N-2:
+    entry i is (e-1) C(N-1, i+1) - sum_s C(N-n_s, i+1).
 
-    A single block has no degree-2 generators, so its strand is empty and
-    flagged degenerate rather than an error.
+    Empty for a single block, which has no degree-2 generators. Otherwise the
+    last entry is e - 1: only the C(N-1, N-1) term survives.
     """
     q = SkeletonQuery(tuple(sizes), 0)
     if q.block_count == 1:
-        return StrandVector(1, (), degenerate=True)
+        return ()
     n_vars = q.n_vars
     values = []
     for i in range(1, n_vars - 1):
@@ -125,22 +121,23 @@ def linear_strand(sizes) -> StrandVector:
         if v < 0:
             raise ValueError(f"linear strand produced a negative value at position {i}")
         values.append(v)
-    return StrandVector(1, tuple(values))
+    return tuple(values)
 
 
-def upper_strand(q: SkeletonQuery) -> StrandVector:
-    """Diagonal j - i = k + 1 of the k-skeleton:
+def upper_strand(q: SkeletonQuery) -> tuple[int, ...]:
+    """Diagonal j - i = k + 1 of the k-skeleton, entries at i = 1..N-k-1:
     entry i is sum_{j=k+2}^{n} c_j (-1)^{k-j} C(N-j, k+i+1-j).
 
-    Empty when k >= n - 1 (the resolution is then 2-linear). Valid for a
+    Empty when k >= n - 1 (the resolution is then 2-linear). Otherwise the
+    last entry, beta_{N-k-1,N}, is the k-th reduced homology of the k-skeleton
+    of a contractible complex with (k+1)-faces, so it is nonzero. Valid for a
     single block as well, where it carries the whole resolution.
     """
     if q.k < 1:
         raise ValueError("the strand split assumes skeleton parameter k >= 1")
-    diagonal = q.k + 1
     n = q.max_block
     if q.k >= n - 1:
-        return StrandVector(diagonal, ())
+        return ()
     n_vars = q.n_vars
     values = []
     for i in range(1, n_vars - q.k):
@@ -151,7 +148,7 @@ def upper_strand(q: SkeletonQuery) -> StrandVector:
         if v < 0:
             raise ValueError(f"upper strand produced a negative value at position {i}")
         values.append(v)
-    return StrandVector(diagonal, tuple(values))
+    return tuple(values)
 
 
 def _require_closed_form(q: SkeletonQuery) -> None:
@@ -167,11 +164,10 @@ def betti_closed(q: SkeletonQuery) -> BettiTable:
     _require_closed_form(q)
     table = BettiTable(q.n_vars)
     table.add(0, 0, 1)
-    for i, v in enumerate(linear_strand(q.sizes).values, start=1):
+    for i, v in enumerate(linear_strand(q.sizes), start=1):
         table.add(i, i + 1, v)
-    upper = upper_strand(q)
-    for i, v in enumerate(upper.values, start=1):
-        table.add(i, i + upper.diagonal, v)
+    for i, v in enumerate(upper_strand(q), start=1):
+        table.add(i, i + q.k + 1, v)
     return table
 
 

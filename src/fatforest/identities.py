@@ -1,10 +1,10 @@
 """Binomial-coefficient identities obtained by equating, degree by degree, the
 two exact numerator computations for a union of simplices glued at points.
 
-The identities are generated, not transcribed: the left side expands
-sum_s (1-t)^{N-n_s} - (e-1)(1-t)^{N-1} and the right side expands the
-face-count form (1-t)^N + N t (1-t)^{N-1} + sum c_i t^i (1-t)^{N-i}, so the
-construction works for any number of blocks.
+The identities are generated, not transcribed: each side expands, degree by
+degree, the term list its numerator polynomial is built from (the glued-blocks
+terms on the left, the face-count terms on the right), so the construction
+works for any number of blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulas import SkeletonQuery, fatforest_numerator, skeleton_numerator
+from .formulas import (
+    SkeletonQuery,
+    fatforest_numerator,
+    glued_blocks_terms,
+    skeleton_numerator,
+    skeleton_terms,
+)
 from .polynomials import binomial
 
 _SINGLE_BLOCK_NOTE = (
@@ -79,32 +85,23 @@ def _render_side(terms: tuple[BinomialTerm, ...]) -> str:
     return " ".join(parts)
 
 
-def _sign(parity: int) -> int:
-    return 1 if parity % 2 == 0 else -1
+def _degree_terms(terms, d: int) -> tuple[BinomialTerm, ...]:
+    """The t^d coefficient of each c t^a (1-t)^m with a <= d, as the binomial
+    term c (-1)^(d-a) C(m, d-a)."""
+    return tuple(
+        BinomialTerm(c if (d - a) % 2 == 0 else -c, m, d - a) for c, a, m in terms if c and a <= d
+    )
 
 
 def identity_report(sizes) -> IdentityReport:
     """Compare the two numerator computations coefficient by coefficient,
     recording each side as an explicit signed binomial sum."""
     q = SkeletonQuery(tuple(sizes), max(sizes) - 1)
-    left = fatforest_numerator(q.sizes)
-    right = skeleton_numerator(q)
-    n_vars = q.n_vars
+    left, right = fatforest_numerator(q.sizes), skeleton_numerator(q)
+    left_src, right_src = glued_blocks_terms(q.sizes), skeleton_terms(q)
     records = []
-    for d in range(n_vars + 1):
-        left_terms = [BinomialTerm(_sign(d), n_vars - s, d) for s in q.sizes]
-        if q.block_count > 1:
-            left_terms.append(BinomialTerm(-(q.block_count - 1) * _sign(d), n_vars - 1, d))
-        right_terms = [BinomialTerm(_sign(d), n_vars, d)]
-        if d >= 1:
-            right_terms.append(BinomialTerm(n_vars * _sign(d - 1), n_vars - 1, d - 1))
-        for i in range(2, q.top_dim + 2):
-            if d >= i:
-                right_terms.append(
-                    BinomialTerm(q.block_faces(i) * _sign(d - i), n_vars - i, d - i)
-                )
-        lt = tuple(t for t in left_terms if t.coefficient)
-        rt = tuple(t for t in right_terms if t.coefficient)
+    for d in range(q.n_vars + 1):
+        lt, rt = _degree_terms(left_src, d), _degree_terms(right_src, d)
         lv = sum(t.value for t in lt)
         rv = sum(t.value for t in rt)
         if lv != left.coefficient(d) or rv != right.coefficient(d):
@@ -121,14 +118,7 @@ def identity_report(sizes) -> IdentityReport:
             )
         )
     notes = (_SINGLE_BLOCK_NOTE,) if q.block_count == 1 else ()
-    return IdentityReport(sizes=q.sizes, n_vars=n_vars, degrees=tuple(records), notes=notes)
-
-
-def render_identity(report: IdentityReport, degree: int) -> str:
-    """Equation string for one degree of the report."""
-    if not 0 <= degree < len(report.degrees):
-        raise ValueError(f"degree {degree} outside 0..{len(report.degrees) - 1}")
-    return report.degrees[degree].equation
+    return IdentityReport(sizes=q.sizes, n_vars=q.n_vars, degrees=tuple(records), notes=notes)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?C\((\d+),(\d+)\)$|^(\d+)$")

@@ -153,6 +153,20 @@ def test_verify_repeatable_field_flag(capsys):
     assert "verdict: PASS" in out
 
 
+def test_second_field_is_invalid_outside_verify(capsys):
+    # only verify compares fields; elsewhere a second --field used to be dropped
+    two_fields = ("--field", "gf2", "--field", "rat", "--format", "structured")
+    for argv in (
+        ("betti", "--sizes", "3,4", "-k", "1", "--method", "hochster"),
+        ("invariants", "--sizes", "3,4", "-k", "1", "--method", "oracle"),
+        ("betti", "--sizes", "3,4", "-k", "1"),
+    ):
+        code, out, err = run(capsys, *argv, *two_fields)
+        assert code == EXIT_INPUT, argv
+        assert out == ""
+        assert err == "error: --field may be given more than once only with verify\n"
+
+
 def test_verify_k0_uses_oracle_only(capsys):
     code, out, _ = run(capsys, "verify", "--sizes", "2,2", "-k", "0")
     assert code == EXIT_OK
@@ -225,6 +239,22 @@ def test_facet_file_input(tmp_path, capsys):
     code, _, err = run(capsys, "fvector", "--facets", str(path), "--sizes", "2,2")
     assert code == EXIT_INPUT
     assert "mutually exclusive" in err
+
+
+def test_hilbert_method_follows_the_input(tmp_path, capsys):
+    path = tmp_path / "complex.txt"
+    path.write_text("0 1\n1 2\n")
+    code, out, _ = run(capsys, "hilbert", "--facets", str(path), "--format", "structured")
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == "from-complex"
+    code, out, _ = run(capsys, "hilbert", "--sizes", "2,2", "--format", "structured")
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == "closed"
+    # the closed forms need --sizes, so an explicit closed with --facets is refused
+    code, out, err = run(capsys, "hilbert", "--facets", str(path), "--method", "closed")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: facet-file input supports only --method from-complex\n"
 
 
 def test_missing_facet_file(capsys):

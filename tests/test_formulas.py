@@ -9,14 +9,15 @@ from conftest import forest_specs
 from fatforest.complexes import FatForestSpec, build_fat_forest, f_vector, skeleton
 from fatforest.formulas import (
     SkeletonQuery,
-    StrandVector,
     betti_closed,
     betti_via_strand_subtraction,
     fatforest_numerator,
+    glued_blocks_terms,
     invariants_closed,
     linear_strand,
     skeleton_f_vector,
     skeleton_numerator,
+    skeleton_terms,
     upper_strand,
 )
 from fatforest.homology import hochster_betti
@@ -106,36 +107,47 @@ def test_numerators_coincide_at_full_skeleton(spec):
         assert skeleton_numerator(SkeletonQuery(spec.sizes, k)) == fatforest_numerator(spec.sizes)
 
 
+@given(forest_specs(max_blocks=4, max_block=6, max_vertices=20), st.integers(0, 7))
+def test_term_lists_expand_to_the_numerators(spec, k):
+    # sympy's Poly arithmetic: expand() on these powers costs about 30 times more
+    q = SkeletonQuery(spec.sizes, k)
+    t, one_minus_t = sympy.Poly(T, T), sympy.Poly(1 - T, T)
+    for terms, num in (
+        (glued_blocks_terms(spec.sizes), fatforest_numerator(spec.sizes)),
+        (skeleton_terms(q), skeleton_numerator(q)),
+    ):
+        poly = sum((c * t**a * one_minus_t**m for c, a, m in terms), sympy.Poly(0, T))
+        assert tuple(int(c) for c in reversed(poly.all_coeffs())) == num.poly.coeffs
+
+
 def test_linear_strand_published_row():
-    assert linear_strand((3, 4, 5)).values == (26, 103, 197, 224, 160, 71, 18, 2)
+    assert linear_strand((3, 4, 5)) == (26, 103, 197, 224, 160, 71, 18, 2)
 
 
 def test_linear_strand_small_cases():
-    assert linear_strand((2, 2)).values == (1,)
+    assert linear_strand((2, 2)) == (1,)
     # the final entry is always e - 1: only the C(N-1, N-1) term survives
     for n in (3, 4):
         strand = linear_strand((n, n))
-        assert strand.values[-1] == 1
-        assert len(strand.values) == 2 * n - 3
+        assert strand[-1] == 1
+        assert len(strand) == 2 * n - 3
 
 
 def test_linear_strand_single_block_degenerates():
-    strand = linear_strand((6,))
-    assert strand.values == ()
-    assert strand.degenerate
+    assert linear_strand((6,)) == ()
 
 
 def test_upper_strand_published_rows():
-    assert upper_strand(SkeletonQuery((3, 4, 5), 2)).values == (6, 35, 85, 110, 80, 31, 5)
-    assert upper_strand(SkeletonQuery((3, 4, 5), 3)).values == (1, 5, 10, 10, 5, 1)
-    assert upper_strand(SkeletonQuery((3, 4, 5), 1)).values == (
+    assert upper_strand(SkeletonQuery((3, 4, 5), 2)) == (6, 35, 85, 110, 80, 31, 5)
+    assert upper_strand(SkeletonQuery((3, 4, 5), 3)) == (1, 5, 10, 10, 5, 1)
+    assert upper_strand(SkeletonQuery((3, 4, 5), 1)) == (
         15, 99, 280, 440, 415, 235, 74, 10,
     )
 
 
 def test_upper_strand_empty_at_top_dimension():
-    assert upper_strand(SkeletonQuery((3, 4, 5), 4)).values == ()
-    assert upper_strand(SkeletonQuery((3, 4, 5), 9)).values == ()
+    assert upper_strand(SkeletonQuery((3, 4, 5), 4)) == ()
+    assert upper_strand(SkeletonQuery((3, 4, 5), 9)) == ()
     with pytest.raises(ValueError):
         upper_strand(SkeletonQuery((3, 4, 5), 0))
 
@@ -147,16 +159,25 @@ def test_upper_strand_single_block_against_oracle():
         q = SkeletonQuery((n,), k)
         c = skeleton(build_fat_forest(FatForestSpec((n,))), k)
         oracle = hochster_betti(c)
-        strand = upper_strand(q)
-        assert strand.values == oracle.diagonal(k + 1)
+        assert upper_strand(q) == oracle.diagonal(k + 1)
         # and that is the whole resolution besides beta_{0,0}
         assert oracle.diagonals() == [0, k + 1]
 
 
-def test_strand_vector_trims_and_validates():
-    assert StrandVector(2, (3, 1, 0, 0)).values == (3, 1)
-    with pytest.raises(ValueError):
-        StrandVector(2, (1, -1))
+@given(forest_specs(max_blocks=4, max_block=8, max_vertices=20), st.integers(1, 8))
+def test_strands_end_in_their_last_nonzero_entry(spec, k):
+    # the tables are read off these tuples as they are, so no strand may end
+    # in a zero: the linear one ends in e - 1, the upper one in the k-th
+    # reduced homology of the skeleton of a contractible complex
+    q = SkeletonQuery(spec.sizes, k)
+    linear = linear_strand(spec.sizes)
+    if q.block_count > 1:
+        assert len(linear) == q.n_vars - 2 and linear[-1] == q.block_count - 1
+    upper = upper_strand(q)
+    if k < q.max_block - 1:
+        assert len(upper) == q.n_vars - k - 1 and upper[-1] > 0
+    else:
+        assert upper == ()
 
 
 def test_betti_closed_345_k2_table():
@@ -220,7 +241,7 @@ def test_upper_strand_vanishes_past_cutoff():
     assert all(
         binomial(n_vars - j, k + i + 1 - j) == 0 for j in range(k + 2, n + 1)
     )
-    assert len(upper_strand(q).values) <= n_vars - k - 1
+    assert len(upper_strand(q)) <= n_vars - k - 1
 
 
 def test_invariants_closed_examples():

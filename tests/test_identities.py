@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fatforest.identities import identity_report, parse_equation, render_identity
+from fatforest.identities import identity_report, parse_equation
 
 sizes_lists = st.lists(st.integers(2, 8), min_size=1, max_size=4).map(tuple).filter(
     lambda s: sum(s) - (len(s) - 1) <= 20
@@ -42,7 +42,7 @@ def test_two_equal_blocks_report():
 
 def test_degree_zero_renders_one_equals_one():
     report = identity_report((5,))
-    assert render_identity(report, 0) == "1 = 1"
+    assert report.degrees[0].equation == "1 = 1"
 
 
 def test_path_degree_two():
@@ -61,12 +61,6 @@ def test_triangles_degree_three():
     assert left == rec.left_value and right == rec.right_value
 
 
-def test_render_out_of_range():
-    report = identity_report((2, 2))
-    with pytest.raises(ValueError):
-        render_identity(report, 99)
-
-
 @given(sizes_lists)
 def test_all_degrees_agree(sizes):
     assert identity_report(sizes).all_equal
@@ -76,7 +70,7 @@ def test_all_degrees_agree(sizes):
 def test_rendered_equations_round_trip(sizes):
     report = identity_report(sizes)
     for rec in report.degrees:
-        left, right = parse_equation(render_identity(report, rec.degree))
+        left, right = parse_equation(rec.equation)
         assert left == rec.left_value
         assert right == rec.right_value
 

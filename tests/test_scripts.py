@@ -43,3 +43,9 @@ def test_three_way_sweep_rejects_bad_fields_and_presets(capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert ": error: " in err.splitlines()[-1] and word in err.splitlines()[-1]
+
+
+def test_identity_scan_small_range(capsys):
+    scan = load_script("identity_scan")
+    assert scan.main(["--max-block", "4", "--max-blocks", "2"]) == 0
+    assert "9 size lists checked, 0 failing degrees" in capsys.readouterr().out

@@ -40,3 +40,10 @@ def test_three_routes_agree_over_odd_characteristic_and_rationals(sizes, k, glui
     names = ["formula", "strands"] + [f"hochster-{field.label}" for field in fields]
     assert [name for name, _ in report.tables] == names
     assert report.passed
+
+
+def test_closed_routes_alone_skip_the_oracle_guard():
+    # 39 vertices exceed the guard of 24, but with no field no oracle runs
+    report = verify_routes(FatForestSpec((20, 20)), 2, (), 24)
+    assert [name for name, _ in report.tables] == ["formula", "strands"]
+    assert report.passed
