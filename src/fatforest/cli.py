@@ -102,7 +102,11 @@ def _oracle_options(args) -> tuple[tuple[FieldSpec, ...], int]:
         raise ValueError(f"oracle guard {args.guard} is negative; --guard takes a vertex count >= 0")
     if args.command != "verify" and len(args.field or ()) > 1:
         raise ValueError("--field may be given more than once only with verify")
-    return tuple(FieldSpec.parse(f) for f in args.field or ["gf2"]), args.guard
+    fields = tuple(FieldSpec.parse(f) for f in args.field or ["gf2"])
+    for i, f in enumerate(fields):
+        if f in fields[:i]:
+            raise ValueError(f"--field names {f.label} more than once")
+    return fields, args.guard
 
 
 def _config(args) -> RunConfig:
@@ -257,10 +261,11 @@ _HANDLERS = {
 
 
 def _add_common(
-    p: argparse.ArgumentParser, *, facets: bool = False, oracle: bool = False, formats: bool = True
+    p: argparse.ArgumentParser, *, facets: bool = False, oracle: bool = False, skeleton: bool = True
 ):
     p.add_argument("--sizes", help="comma-separated block sizes, e.g. 3,4,5")
-    p.add_argument("-k", type=int, default=None, help="skeleton parameter (faces of dimension <= k)")
+    if skeleton:
+        p.add_argument("-k", type=int, default=None, help="skeleton parameter (faces of dimension <= k)")
     p.add_argument(
         "--gluing",
         default="chain-distinct",
@@ -280,13 +285,12 @@ def _add_common(
         )
     if facets:
         p.add_argument("--facets", help="facet-list file instead of --sizes")
-    if formats:
-        p.add_argument(
-            "--format",
-            choices=["paper-table", "structured", "tabular"],
-            default="paper-table",
-            help="paper-table (text), structured (json), tabular (csv)",
-        )
+    p.add_argument(
+        "--format",
+        choices=["paper-table", "structured", "tabular"],
+        default="paper-table",
+        help="paper-table (text), structured (json), tabular (csv)",
+    )
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -324,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, facets=True, oracle=True)
 
     p = sub.add_parser("identities", help="binomial identities from the two numerators")
-    _add_common(p)
+    _add_common(p, skeleton=False)
 
     p = sub.add_parser("paper-examples", help="the three blocks-(3,4,5) tables plus the k=1 note")
     p.add_argument("--out", help="write output to this path instead of stdout")

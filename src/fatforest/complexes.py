@@ -256,42 +256,50 @@ def link(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
 def minimal_nonfaces(c: SimplicialComplex) -> list[int]:
     """Inclusion-minimal vertex subsets that are not faces, sorted by (size, mask).
 
-    These are the supports of the squarefree generators of the face ideal.
-    The search walks subset sizes upward, extending faces by one vertex and
-    keeping candidates all of whose maximal proper subsets are faces.
+    These are the supports of the squarefree generators of the face ideal,
+    found by clique extension over the 1-skeleton:
+    - size 1: the vertices no facet covers;
+    - size 2: pairs of covered vertices that are not an edge;
+    - size m >= 3: every proper subset of a minimal nonface C is a face, so
+      C minus its largest vertex is an (m-1)-face f and that vertex is a
+      common neighbour of f above max(f). Each (m-1)-face f is extended by
+      those common neighbours, and f | w is kept when it is not a face and
+      its other maximal proper subsets are faces.
+    C comes only from the prefix face C minus max(C), so every candidate is
+    produced once and no set of visited candidates is kept.
     """
-    n = c.n_vertices
     by_size = c.faces_by_size()
     face_sets = [set(level) for level in by_size]
     covered = 0
     for f in c.facets:
         covered |= f
-    out = [1 << v for v in range(n) if not covered >> v & 1]
+    out = [1 << v for v in range(c.n_vertices) if not covered >> v & 1]
+    nbr = [0] * c.n_vertices
+    for e in by_size[2] if len(by_size) > 2 else ():
+        u, w = bits_of(e)
+        nbr[u] |= 1 << w
+        nbr[w] |= 1 << u
+    for u in bits_of(covered):
+        above = covered >> (u + 1) << (u + 1)
+        for w in bits_of(above & ~nbr[u]):
+            out.append(1 << u | 1 << w)
     top = len(by_size) - 1  # = dim + 1
-    for m in range(2, top + 2):
+    for m in range(3, top + 2):
         smaller = face_sets[m - 1]
         current = face_sets[m] if m <= top else set()
-        seen: set[int] = set()
         for f in by_size[m - 1]:
-            for v in range(n):
-                bit = 1 << v
-                if f & bit:
-                    continue
-                cand = f | bit
-                if cand in seen:
-                    continue
-                seen.add(cand)
+            prefix = bits_of(f)
+            common = -1
+            for v in prefix:
+                common &= nbr[v]
+            for w in bits_of(common >> (prefix[-1] + 1) << (prefix[-1] + 1)):
+                cand = f | 1 << w
                 if cand in current:
                     continue
-                rest = cand
-                minimal = True
-                while rest:
-                    low = rest & -rest
-                    if (cand ^ low) not in smaller:
-                        minimal = False
+                for v in prefix:
+                    if (cand ^ 1 << v) not in smaller:
                         break
-                    rest ^= low
-                if minimal:
+                else:
                     out.append(cand)
     out.sort(key=lambda mask: (mask.bit_count(), mask))
     return out

@@ -9,6 +9,7 @@ nonnegativity at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .betti import BettiTable, RingInvariants
 from .polynomials import (
@@ -139,12 +140,13 @@ def upper_strand(q: SkeletonQuery) -> tuple[int, ...]:
     if q.k >= n - 1:
         return ()
     n_vars = q.n_vars
+    # (j, (-1)^{k-j} c_j) for j = k+2..n, computed once; entry i sums the
+    # first i of them, the j <= k+i+1 whose binomial is nonzero.
+    signed = [(j, (-1) ** (j - q.k) * q.block_faces(j)) for j in range(q.k + 2, n + 1)]
     values = []
     for i in range(1, n_vars - q.k):
-        v = 0
-        for j in range(q.k + 2, n + 1):
-            sign = 1 if (q.k - j) % 2 == 0 else -1
-            v += q.block_faces(j) * sign * binomial(n_vars - j, q.k + i + 1 - j)
+        top = q.k + i + 1
+        v = sum(c * comb(n_vars - j, top - j) for j, c in signed[:i])
         if v < 0:
             raise ValueError(f"upper strand produced a negative value at position {i}")
         values.append(v)

@@ -167,6 +167,16 @@ def test_second_field_is_invalid_outside_verify(capsys):
         assert err == "error: --field may be given more than once only with verify\n"
 
 
+def test_verify_rejects_a_repeated_field(capsys):
+    # fields are compared after parsing, so rat and q are the same field
+    for repeat in (("gf2", "gf2"), ("rat", "q"), ("gf3", "gf2", "GF3")):
+        argv = [arg for label in repeat for arg in ("--field", label)]
+        code, out, err = run(capsys, "verify", "--sizes", "2,2", "-k", "1", *argv)
+        assert code == EXIT_INPUT, repeat
+        assert out == ""
+        assert err.startswith("error: --field names ") and err.count("\n") == 1
+
+
 def test_verify_k0_uses_oracle_only(capsys):
     code, out, _ = run(capsys, "verify", "--sizes", "2,2", "-k", "0")
     assert code == EXIT_OK
@@ -290,6 +300,13 @@ def test_oracle_flags_only_on_oracle_subcommands(capsys):
     for argv in (["--field", "gf4"], ["--guard", "5"]):
         for command in ("fvector", "hilbert"):
             assert run(capsys, command, "--sizes", "3,4", *argv)[0] == EXIT_USAGE
+
+
+def test_identities_takes_no_skeleton_parameter(capsys):
+    # the identities compare whole-complex numerators, so -k would be ignored
+    code, out, _ = run(capsys, "identities", "--sizes", "3,3", "-k", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_guard_checked_before_building_the_complex(capsys):

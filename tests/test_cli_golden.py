@@ -32,7 +32,7 @@ _BY_FORMAT = {
     "invariants-oracle": ["invariants", "--sizes", "2,3,3", "-k", "1", "--method", "oracle"],
     "verify": ["verify", "--sizes", "2,3", "-k", "1"],
     "verify-k0": ["verify", "--sizes", "2,2", "-k", "0"],
-    "identities": ["identities", "--sizes", "3,3", "-k", "1"],
+    "identities": ["identities", "--sizes", "3,3"],
 }
 
 CASES = {

@@ -1,5 +1,6 @@
 """Complex construction, skeletons, induced subcomplexes, links, nonfaces."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from fatforest.complexes import (
     skeleton,
     vertex_mask,
 )
-from fatforest.formulas import SkeletonQuery
+from fatforest.formulas import SkeletonQuery, betti_closed
 
 
 def mask(*vertices):
@@ -267,6 +268,56 @@ def test_minimal_nonface_sizes_are_two_or_k_plus_two(spec):
             degree_two = pairs
         else:
             assert pairs == degree_two
+
+
+@st.composite
+def facet_lists(draw, max_vertices=9):
+    """A vertex count up to max_vertices and facets over it; some labels may
+    lie in no facet."""
+    n = draw(st.integers(0, max_vertices))
+    if n == 0:
+        return 0, ()
+    facets = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+    return n, tuple(facets)
+
+
+@given(facet_lists())
+@settings(max_examples=200)
+def test_minimal_nonfaces_match_the_definition(case):
+    # brute force: every nonface whose maximal proper subsets are all faces
+    n, facets = case
+    c = SimplicialComplex(n, facets)
+    faces = c.faces()
+    expected = [
+        s
+        for s in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+        if s not in faces and all(s ^ (1 << v) in faces for v in range(n) if s >> v & 1)
+    ]
+    assert minimal_nonfaces(c) == expected
+
+
+@given(forest_specs(min_blocks=2), st.integers(1, 4))
+@settings(max_examples=40)
+def test_minimal_nonface_count_is_the_first_betti_column(spec, k):
+    c = skeleton(build_fat_forest(spec), k)
+    first_column = sum(
+        v for (i, _), v in betti_closed(SkeletonQuery(spec.sizes, k)).nonzero() if i == 1
+    )
+    assert len(minimal_nonfaces(c)) == first_column
+
+
+def test_minimal_nonfaces_memory_on_a_large_skeleton():
+    # 6,006 facets and 9,516 minimal nonfaces: keeping every candidate in a
+    # visited set would hold about 240k masks and peak near 18 MB
+    c = skeleton(build_fat_forest(FatForestSpec((14, 14, 14))), 4)
+    tracemalloc.start()
+    try:
+        nonfaces = minimal_nonfaces(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nonfaces) == 9516
+    assert peak < 4_000_000
 
 
 def test_isolated_vertex_is_a_nonface():
