@@ -33,6 +33,8 @@ def parse_args(argv=None):
         args.presets = [FatForestSpec((2,), p).gluing for p in args.presets.split(",")]
     except ValueError as exc:
         parser.error(str(exc))
+    if args.min_blocks < 2 and len(args.fields) < 2:
+        parser.error("--min-blocks below 2 needs two --fields: a single block has only oracle routes")
     return args
 
 

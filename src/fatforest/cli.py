@@ -74,7 +74,7 @@ class RunConfig:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad --sizes value {text!r}; expected comma-separated integers") from None
 
@@ -121,7 +121,7 @@ def _config(args) -> RunConfig:
         spec = FatForestSpec(_parse_sizes(args.sizes), _parse_gluing(args.gluing))
     k = getattr(args, "k", None)
     if k is None and spec is not None:
-        k = max(spec.sizes) - 1  # the whole complex
+        k = spec.dim  # the whole complex
     return RunConfig(
         spec=spec,
         k=k,
@@ -157,7 +157,7 @@ def _oracle(cfg: RunConfig) -> tuple[BettiTable, SimplicialComplex]:
 def _query(cfg: RunConfig) -> SkeletonQuery:
     if cfg.spec is None:
         raise ValueError("this method needs --sizes")
-    return SkeletonQuery(cfg.spec.sizes, cfg.k)
+    return SkeletonQuery(cfg.spec, cfg.k)
 
 
 def _run_fvector(cfg: RunConfig) -> tuple[int, Document]:
@@ -211,9 +211,9 @@ def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
         raise ValueError("verify needs --sizes")
     report = verify_routes(cfg.spec, cfg.k, cfg.fields, cfg.guard)
     doc = Document(
-        report.sizes,
-        report.k,
-        report.n_vars,
+        cfg.sizes,
+        cfg.k,
+        report.query.n_vars,
         "verify",
         field=",".join(f.label for f in cfg.fields),
         betti=report.tables[0][1],

@@ -173,6 +173,11 @@ class FatForestSpec:
         return sum(self.sizes) - (len(self.sizes) - 1)
 
     @property
+    def dim(self) -> int:
+        """Dimension of the whole complex, the smallest k whose k-skeleton is all of it."""
+        return max(self.sizes) - 1
+
+    @property
     def gluing_vertices(self) -> tuple[int, ...]:
         """The vertex each block 2..e is glued at, in block order."""
         if self.gluing == "star":

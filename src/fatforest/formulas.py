@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .betti import BettiTable, RingInvariants
+from .complexes import FatForestSpec
 from .polynomials import (
     HilbertNumerator,
     IntPolynomial,
@@ -23,42 +24,38 @@ from .polynomials import (
 
 @dataclass(frozen=True)
 class SkeletonQuery:
-    """Block sizes plus skeleton parameter k, with the derived quantities the
-    closed forms keep reusing."""
+    """A fat-forest spec and skeleton parameter k. A bare sizes sequence stands
+    for FatForestSpec(sizes); the closed forms never read the gluing."""
 
-    sizes: tuple[int, ...]
+    spec: FatForestSpec
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not self.sizes:
-            raise ValueError("at least one block is required")
-        if any(s < 2 for s in self.sizes):
-            raise ValueError("block sizes must be at least 2")
+        if not isinstance(self.spec, FatForestSpec):
+            object.__setattr__(self, "spec", FatForestSpec(self.spec))
         if self.k < 0:
             raise ValueError("skeleton parameter must be nonnegative")
 
     @property
     def block_count(self) -> int:
-        return len(self.sizes)
+        return len(self.spec.sizes)
 
     @property
     def n_vars(self) -> int:
-        """Vertex count: block sizes minus the glued points."""
-        return sum(self.sizes) - (self.block_count - 1)
+        return self.spec.n_vars
 
     @property
     def max_block(self) -> int:
-        return max(self.sizes)
+        return max(self.spec.sizes)
 
     @property
     def top_dim(self) -> int:
-        """Dimension of the k-skeleton: min(k, max block size - 1)."""
-        return min(self.k, self.max_block - 1)
+        """Dimension of the k-skeleton: min(k, dimension of the whole complex)."""
+        return min(self.k, self.spec.dim)
 
     def block_faces(self, j: int) -> int:
         """Number of j-vertex faces lying inside a single block."""
-        return sum(binomial(s, j) for s in self.sizes)
+        return sum(binomial(s, j) for s in self.spec.sizes)
 
 
 def skeleton_f_vector(q: SkeletonQuery) -> FVector:
@@ -70,12 +67,11 @@ def skeleton_f_vector(q: SkeletonQuery) -> FVector:
     return FVector(tuple(entries))
 
 
-def glued_blocks_terms(sizes) -> tuple[tuple[int, int, int], ...]:
+def glued_blocks_terms(q: SkeletonQuery) -> tuple[tuple[int, int, int], ...]:
     """The glued-blocks numerator sum_s (1-t)^{N-n_s} - (e-1)(1-t)^{N-1} as
-    terms (c, a, m), each meaning c t^a (1-t)^m."""
-    q = SkeletonQuery(tuple(sizes), 0)
+    terms (c, a, m), each meaning c t^a (1-t)^m; q.k is unused."""
     n_vars = q.n_vars
-    return tuple((1, 0, n_vars - s) for s in q.sizes) + ((1 - q.block_count, 0, n_vars - 1),)
+    return tuple((1, 0, n_vars - s) for s in q.spec.sizes) + ((1 - q.block_count, 0, n_vars - 1),)
 
 
 def skeleton_terms(q: SkeletonQuery) -> tuple[tuple[int, int, int], ...]:
@@ -92,10 +88,9 @@ def _expand(n_vars: int, terms) -> HilbertNumerator:
     return HilbertNumerator(n_vars, poly)
 
 
-def fatforest_numerator(sizes) -> HilbertNumerator:
-    """Numerator of sum_s 1/(1-t)^{n_s} - (e-1)/(1-t) over (1-t)^N."""
-    q = SkeletonQuery(tuple(sizes), 0)
-    return _expand(q.n_vars, glued_blocks_terms(q.sizes))
+def fatforest_numerator(q: SkeletonQuery) -> HilbertNumerator:
+    """Numerator of sum_s 1/(1-t)^{n_s} - (e-1)/(1-t) over (1-t)^N; q.k is unused."""
+    return _expand(q.n_vars, glued_blocks_terms(q))
 
 
 def skeleton_numerator(q: SkeletonQuery) -> HilbertNumerator:
@@ -103,21 +98,20 @@ def skeleton_numerator(q: SkeletonQuery) -> HilbertNumerator:
     return _expand(q.n_vars, skeleton_terms(q))
 
 
-def linear_strand(sizes) -> tuple[int, ...]:
+def linear_strand(q: SkeletonQuery) -> tuple[int, ...]:
     """Diagonal j - i = 1, entries at i = 1..N-2:
     entry i is (e-1) C(N-1, i+1) - sum_s C(N-n_s, i+1).
 
     Empty for a single block, which has no degree-2 generators. Otherwise the
-    last entry is e - 1: only the C(N-1, N-1) term survives.
+    last entry is e - 1: only the C(N-1, N-1) term survives. q.k is unused.
     """
-    q = SkeletonQuery(tuple(sizes), 0)
     if q.block_count == 1:
         return ()
     n_vars = q.n_vars
     values = []
     for i in range(1, n_vars - 1):
         v = (q.block_count - 1) * binomial(n_vars - 1, i + 1) - sum(
-            binomial(n_vars - s, i + 1) for s in q.sizes
+            binomial(n_vars - s, i + 1) for s in q.spec.sizes
         )
         if v < 0:
             raise ValueError(f"linear strand produced a negative value at position {i}")
@@ -137,7 +131,7 @@ def upper_strand(q: SkeletonQuery) -> tuple[int, ...]:
     if q.k < 1:
         raise ValueError("the strand split assumes skeleton parameter k >= 1")
     n = q.max_block
-    if q.k >= n - 1:
+    if q.k >= q.spec.dim:
         return ()
     n_vars = q.n_vars
     # (j, (-1)^{k-j} c_j) for j = k+2..n, computed once; entry i sums the
@@ -153,11 +147,14 @@ def upper_strand(q: SkeletonQuery) -> tuple[int, ...]:
     return tuple(values)
 
 
+def closed_forms_apply(q: SkeletonQuery) -> bool:
+    """Whether the closed Betti forms hold for q: at least two blocks and k >= 1."""
+    return q.block_count >= 2 and q.k >= 1
+
+
 def _require_closed_form(q: SkeletonQuery) -> None:
-    if q.block_count < 2:
-        raise ValueError("closed-form Betti tables require at least two blocks")
-    if q.k < 1:
-        raise ValueError("closed-form Betti tables assume k >= 1; use the homology oracle for k = 0")
+    if not closed_forms_apply(q):
+        raise ValueError("closed-form Betti tables need two blocks and k >= 1; use the oracle")
 
 
 def betti_closed(q: SkeletonQuery) -> BettiTable:
@@ -166,7 +163,7 @@ def betti_closed(q: SkeletonQuery) -> BettiTable:
     _require_closed_form(q)
     table = BettiTable(q.n_vars)
     table.add(0, 0, 1)
-    for i, v in enumerate(linear_strand(q.sizes), start=1):
+    for i, v in enumerate(linear_strand(q), start=1):
         table.add(i, i + 1, v)
     for i, v in enumerate(upper_strand(q), start=1):
         table.add(i, i + q.k + 1, v)
@@ -182,7 +179,7 @@ def betti_via_strand_subtraction(q: SkeletonQuery) -> BettiTable:
     supported in degrees >= k+2 whose signed coefficients are the upper strand.
     """
     _require_closed_form(q)
-    base = fatforest_numerator(q.sizes)
+    base = fatforest_numerator(q)
     skel = skeleton_numerator(q)
     table = BettiTable(q.n_vars)
     table.add(0, 0, 1)
@@ -211,12 +208,11 @@ def invariants_closed(q: SkeletonQuery) -> RingInvariants:
     Krull dimension = skeleton dimension + 1, Cohen-Macaulay iff k <= 1 or
     every block is an edge."""
     _require_closed_form(q)
-    n = q.max_block
-    reg = q.k + 1 if q.k < n - 1 else 1
+    reg = q.k + 1 if q.k < q.spec.dim else 1
     return RingInvariants(
         pd=q.n_vars - 2,
         reg=reg,
         depth=2,
         krull_dim=q.top_dim + 1,
-        is_cm=q.k <= 1 or n == 2,
+        is_cm=q.k <= 1 or q.max_block == 2,
     )

@@ -70,12 +70,8 @@ class FieldSpec:
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":
         if p == 0:
-            raise ValueError("use FieldSpec.rationals() for characteristic 0")
+            raise ValueError("use rat for characteristic 0")
         return cls(p)
-
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
 
     @classmethod
     def parse(cls, label: str) -> "FieldSpec":

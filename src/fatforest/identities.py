@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .complexes import FatForestSpec
 from .formulas import (
     SkeletonQuery,
     fatforest_numerator,
@@ -96,9 +97,10 @@ def _degree_terms(terms, d: int) -> tuple[BinomialTerm, ...]:
 def identity_report(sizes) -> IdentityReport:
     """Compare the two numerator computations coefficient by coefficient,
     recording each side as an explicit signed binomial sum."""
-    q = SkeletonQuery(tuple(sizes), max(sizes) - 1)
-    left, right = fatforest_numerator(q.sizes), skeleton_numerator(q)
-    left_src, right_src = glued_blocks_terms(q.sizes), skeleton_terms(q)
+    spec = FatForestSpec(sizes)
+    q = SkeletonQuery(spec, spec.dim)
+    left, right = fatforest_numerator(q), skeleton_numerator(q)
+    left_src, right_src = glued_blocks_terms(q), skeleton_terms(q)
     records = []
     for d in range(q.n_vars + 1):
         lt, rt = _degree_terms(left_src, d), _degree_terms(right_src, d)
@@ -118,7 +120,7 @@ def identity_report(sizes) -> IdentityReport:
             )
         )
     notes = (_SINGLE_BLOCK_NOTE,) if q.block_count == 1 else ()
-    return IdentityReport(sizes=q.sizes, n_vars=q.n_vars, degrees=tuple(records), notes=notes)
+    return IdentityReport(sizes=spec.sizes, n_vars=q.n_vars, degrees=tuple(records), notes=notes)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?C\((\d+),(\d+)\)$|^(\d+)$")

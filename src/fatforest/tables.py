@@ -157,8 +157,9 @@ def _verification_doc(report: VerificationReport) -> dict:
 
 
 def _verification_text(report: VerificationReport) -> str:
+    q = report.query
     lines = [
-        f"verify sizes={tuple_text(report.sizes)} k={report.k} N={report.n_vars}",
+        f"verify sizes={tuple_text(q.spec.sizes)} k={q.k} N={q.n_vars}",
         "methods: " + ", ".join(name for name, _ in report.tables),
     ]
     for c in report.table_checks:

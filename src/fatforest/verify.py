@@ -2,8 +2,8 @@
 applicable route, compare the tables pairwise, and compare the ring invariants
 each route implies.
 
-The closed forms need at least two blocks and k >= 1; otherwise only the
-homology oracle runs, once per requested field.
+The closed forms run where formulas.closed_forms_apply allows, the homology
+oracle once per requested field; fewer than two routes is a ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Sequence
 
 from .betti import BettiTable, RingInvariants, invariants_from_table
 from .complexes import FatForestSpec, build_fat_forest, skeleton
-from .formulas import SkeletonQuery, betti_closed, betti_via_strand_subtraction, invariants_closed
+from .formulas import SkeletonQuery, closed_forms_apply
+from .formulas import betti_closed, betti_via_strand_subtraction, invariants_closed
 from .homology import DEFAULT_GUARD, FieldSpec, OracleGuardError, hochster_betti
 
 
@@ -30,9 +31,7 @@ class TableCheck:
 class VerificationReport:
     """Betti tables from every applicable method plus pairwise agreement."""
 
-    sizes: tuple[int, ...]
-    k: int
-    n_vars: int
+    query: SkeletonQuery
     tables: tuple[tuple[str, BettiTable], ...]
     table_checks: tuple[TableCheck, ...]
     invariants: tuple[tuple[str, RingInvariants], ...]
@@ -68,14 +67,15 @@ def verify_routes(
 ) -> VerificationReport:
     """Run every applicable Betti route on the k-skeleton of spec and compare
     all results pairwise: tables entry by entry, invariants as a whole."""
-    q = SkeletonQuery(spec.sizes, k)
+    q = SkeletonQuery(spec, k)
+    if not closed_forms_apply(q) and len(fields) < 2:
+        raise ValueError(f"closed forms do not apply to {spec.sizes} at k={k}; verify needs two fields")
     if fields:  # the complex is built only for the oracle, and held to its guard first
         check_oracle_guard(spec, guard)
         complex_k = skeleton(build_fat_forest(spec), k)
-    use_closed = q.block_count >= 2 and k >= 1
     tables: list[tuple[str, BettiTable]] = []
     invariants: list[tuple[str, RingInvariants]] = []
-    if use_closed:
+    if closed_forms_apply(q):
         tables.append(("formula", betti_closed(q)))
         tables.append(("strands", betti_via_strand_subtraction(q)))
         invariants.append(("closed", invariants_closed(q)))
@@ -85,9 +85,7 @@ def verify_routes(
         tables.append((name, table))
         invariants.append((name, invariants_from_table(table, complex_k.n_vertices, complex_k.dim)))
     return VerificationReport(
-        sizes=q.sizes,
-        k=k,
-        n_vars=q.n_vars,
+        query=q,
         tables=tuple(tables),
         table_checks=tuple(
             compare_tables(na, ta, nb, tb) for (na, ta), (nb, tb) in combinations(tables, 2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from fatforest.betti import BettiTable
 from fatforest.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from fatforest.formulas import SkeletonQuery
 from fatforest.verify import TableCheck, VerificationReport
 from fatforest.verify import compare_tables as _compare_tables
 
@@ -177,6 +178,26 @@ def test_verify_rejects_a_repeated_field(capsys):
         assert err.startswith("error: --field names ") and err.count("\n") == 1
 
 
+def test_verify_needs_two_routes(capsys):
+    # without the closed forms (k = 0 or one block) one field leaves one route
+    for sizes, k in (("3,4", "0"), ("5", "2")):
+        code, out, err = run(capsys, "verify", "--sizes", sizes, "-k", k, "--field", "gf2")
+        assert code == EXIT_INPUT, sizes
+        assert out == ""
+        assert err.startswith("error: closed forms do not apply to ") and "two fields" in err
+        two_fields = ("--field", "gf2", "--field", "rat")
+        code, out, _ = run(capsys, "verify", "--sizes", sizes, "-k", k, *two_fields)
+        assert code == EXIT_OK and "hochster-gf2 == hochster-rat: yes" in out
+
+
+def test_characteristic_zero_field_is_named_rat(capsys):
+    argv = ("betti", "--sizes", "3,4", "-k", "1", "--method", "hochster", "--field", "gf0")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: bad field 'gf0': use rat for characteristic 0\n"
+
+
 def test_verify_k0_uses_oracle_only(capsys):
     code, out, _ = run(capsys, "verify", "--sizes", "2,2", "-k", "0")
     assert code == EXIT_OK
@@ -191,14 +212,14 @@ def test_verification_report_fails_on_mismatch():
     assert not check.equal
     assert check.mismatches == ((1, 2, 1, 2),)
     report = VerificationReport(
-        sizes=(2, 2), k=1, n_vars=3,
+        query=SkeletonQuery((2, 2), 1),
         tables=(("x", a), ("y", b)),
         table_checks=(check,),
         invariants=(), invariant_checks=(),
     )
     assert not report.passed
     good = VerificationReport(
-        sizes=(2, 2), k=1, n_vars=3,
+        query=SkeletonQuery((2, 2), 1),
         tables=(("x", a),),
         table_checks=(TableCheck("x", "x", True, ()),),
         invariants=(), invariant_checks=(("a", "b", True),),
@@ -353,6 +374,12 @@ def test_bad_sizes_exit_code(capsys):
     code, _, err = run(capsys, "fvector", "--sizes", "3,x")
     assert code == EXIT_INPUT
     assert err.startswith("error:")
+    # an empty token is an error, not a block to skip
+    for sizes in ("3,,4", "3,4,", ",3,4"):
+        code, out, err = run(capsys, "fvector", "--sizes", sizes, "-k", "1")
+        assert code == EXIT_INPUT, sizes
+        assert out == ""
+        assert err.startswith("error:") and repr(sizes) in err and err.count("\n") == 1
     code, _, _ = run(capsys, "fvector", "--sizes", "1,2")
     assert code == EXIT_INPUT
     code, _, _ = run(capsys, "betti", "--sizes", "2,2", "-k", "1", "--gluing", "ring")

@@ -50,6 +50,15 @@ def test_query_validation_and_derived_values():
         SkeletonQuery((2, 2), -1)
 
 
+@pytest.mark.parametrize("sizes", [(), (3, 1), (0, 4)])
+def test_query_rejects_bad_sizes_as_the_spec_does(sizes):
+    with pytest.raises(ValueError) as by_spec:
+        FatForestSpec(sizes)
+    with pytest.raises(ValueError) as by_query:
+        SkeletonQuery(sizes, 1)
+    assert str(by_query.value) == str(by_spec.value)
+
+
 def test_skeleton_f_vector_examples():
     assert skeleton_f_vector(SkeletonQuery((3, 4, 5), 1)).entries == (1, 10, 19)
     # truncation stops at s = max block - 1 = 4; the last entries are
@@ -60,18 +69,18 @@ def test_skeleton_f_vector_examples():
 
 
 def test_fatforest_numerator_single_block():
-    num = fatforest_numerator((7,))
+    num = fatforest_numerator(SkeletonQuery((7,), 0))
     assert num.n_vars == 7
     assert num.poly.coeffs == (1,)
 
 
 def test_fatforest_numerator_path_expansion():
-    num = fatforest_numerator((2, 2))
+    num = fatforest_numerator(SkeletonQuery((2, 2), 0))
     assert num.poly.coeffs == sympy_coeffs(2 * (1 - T) - (1 - T) ** 2) == (1, 0, -1)
 
 
 def test_fatforest_numerator_345():
-    num = fatforest_numerator((3, 4, 5))
+    num = fatforest_numerator(SkeletonQuery((3, 4, 5), 0))
     expected = sympy_coeffs(
         (1 - T) ** 7 + (1 - T) ** 6 + (1 - T) ** 5 - 2 * (1 - T) ** 9
     )
@@ -80,8 +89,9 @@ def test_fatforest_numerator_345():
 
 
 def test_skeleton_numerator_examples():
-    assert skeleton_numerator(SkeletonQuery((3, 4, 5), 4)) == fatforest_numerator((3, 4, 5))
-    assert skeleton_numerator(SkeletonQuery((3, 4, 5), 8)) == fatforest_numerator((3, 4, 5))
+    whole = fatforest_numerator(SkeletonQuery((3, 4, 5), 0))
+    assert skeleton_numerator(SkeletonQuery((3, 4, 5), 4)) == whole
+    assert skeleton_numerator(SkeletonQuery((3, 4, 5), 8)) == whole
     assert skeleton_numerator(SkeletonQuery((2, 2), 1)).poly.coeffs == (1, 0, -1)
     num = skeleton_numerator(SkeletonQuery((3, 4, 5), 2))
     expected = sympy_coeffs(
@@ -104,7 +114,8 @@ def test_skeleton_numerator_equals_fvector_route(spec, k):
 def test_numerators_coincide_at_full_skeleton(spec):
     n = max(spec.sizes)
     for k in (n - 1, n, n + 3):
-        assert skeleton_numerator(SkeletonQuery(spec.sizes, k)) == fatforest_numerator(spec.sizes)
+        q = SkeletonQuery(spec.sizes, k)
+        assert skeleton_numerator(q) == fatforest_numerator(q)
 
 
 @given(forest_specs(max_blocks=4, max_block=6, max_vertices=20), st.integers(0, 7))
@@ -113,7 +124,7 @@ def test_term_lists_expand_to_the_numerators(spec, k):
     q = SkeletonQuery(spec.sizes, k)
     t, one_minus_t = sympy.Poly(T, T), sympy.Poly(1 - T, T)
     for terms, num in (
-        (glued_blocks_terms(spec.sizes), fatforest_numerator(spec.sizes)),
+        (glued_blocks_terms(q), fatforest_numerator(q)),
         (skeleton_terms(q), skeleton_numerator(q)),
     ):
         poly = sum((c * t**a * one_minus_t**m for c, a, m in terms), sympy.Poly(0, T))
@@ -121,20 +132,20 @@ def test_term_lists_expand_to_the_numerators(spec, k):
 
 
 def test_linear_strand_published_row():
-    assert linear_strand((3, 4, 5)) == (26, 103, 197, 224, 160, 71, 18, 2)
+    assert linear_strand(SkeletonQuery((3, 4, 5), 0)) == (26, 103, 197, 224, 160, 71, 18, 2)
 
 
 def test_linear_strand_small_cases():
-    assert linear_strand((2, 2)) == (1,)
+    assert linear_strand(SkeletonQuery((2, 2), 0)) == (1,)
     # the final entry is always e - 1: only the C(N-1, N-1) term survives
     for n in (3, 4):
-        strand = linear_strand((n, n))
+        strand = linear_strand(SkeletonQuery((n, n), 0))
         assert strand[-1] == 1
         assert len(strand) == 2 * n - 3
 
 
 def test_linear_strand_single_block_degenerates():
-    assert linear_strand((6,)) == ()
+    assert linear_strand(SkeletonQuery((6,), 0)) == ()
 
 
 def test_upper_strand_published_rows():
@@ -170,7 +181,7 @@ def test_strands_end_in_their_last_nonzero_entry(spec, k):
     # in a zero: the linear one ends in e - 1, the upper one in the k-th
     # reduced homology of the skeleton of a contractible complex
     q = SkeletonQuery(spec.sizes, k)
-    linear = linear_strand(spec.sizes)
+    linear = linear_strand(q)
     if q.block_count > 1:
         assert len(linear) == q.n_vars - 2 and linear[-1] == q.block_count - 1
     upper = upper_strand(q)
@@ -212,8 +223,14 @@ def test_strand_subtraction_koszul():
 
 @given(forest_specs(min_blocks=2, max_blocks=4, max_block=6, max_vertices=18), st.integers(1, 7))
 def test_strand_subtraction_equals_formula(spec, k):
-    q = SkeletonQuery(spec.sizes, k)
-    assert betti_via_strand_subtraction(q) == betti_closed(q)
+    # the gluing never reaches the closed forms: the spec and its bare sizes agree
+    results = []
+    for q in (SkeletonQuery(spec, k), SkeletonQuery(spec.sizes, k)):
+        assert betti_via_strand_subtraction(q) == betti_closed(q)
+        results.append(
+            (betti_closed(q), fatforest_numerator(q), skeleton_numerator(q), invariants_closed(q))
+        )
+    assert results[0] == results[1]
 
 
 @given(forest_specs(min_blocks=2, max_blocks=4, max_block=6, max_vertices=18), st.integers(1, 7))

@@ -36,7 +36,11 @@ def test_three_way_sweep_beyond_the_default_guard(capsys):
 
 def test_three_way_sweep_rejects_bad_fields_and_presets(capsys):
     sweep = load_script("three_way_sweep")
-    for argv, word in ((["--fields", "gf4"], "gf4"), (["--presets", "ring"], "ring")):
+    for argv, word in (
+        (["--fields", "gf4"], "gf4"),
+        (["--presets", "ring"], "ring"),
+        (["--min-blocks", "1", "--fields", "gf2"], "--min-blocks"),
+    ):
         with pytest.raises(SystemExit) as exc:
             sweep.main(argv)
         assert exc.value.code == 2, argv

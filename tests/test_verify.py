@@ -1,6 +1,6 @@
 """Three-way checks far beyond the reach of a 2^N subset sweep: the closed
 formula, strand subtraction and the Hochster oracle on skeleta with N = 16..28,
-over GF(2), GF(3) and Q."""
+over GF(2), GF(3) and Q; and the rule that verify needs two routes to compare."""
 
 import pytest
 
@@ -46,4 +46,15 @@ def test_closed_routes_alone_skip_the_oracle_guard():
     # 39 vertices exceed the guard of 24, but with no field no oracle runs
     report = verify_routes(FatForestSpec((20, 20)), 2, (), 24)
     assert [name for name, _ in report.tables] == ["formula", "strands"]
+    assert report.passed
+
+
+@pytest.mark.parametrize("sizes, k", [((5,), 2), ((3, 4), 0)])
+def test_fewer_than_two_routes_is_an_error(sizes, k):
+    # the closed forms do not apply here, so only the oracle fields are routes
+    for fields in ((), (GF2,)):
+        with pytest.raises(ValueError, match="needs two"):
+            verify_routes(FatForestSpec(sizes), k, fields)
+    report = verify_routes(FatForestSpec(sizes), k, (GF2, GF3))
+    assert [name for name, _ in report.tables] == ["hochster-gf2", "hochster-gf3"]
     assert report.passed
