@@ -12,7 +12,7 @@ import sys
 import time
 from itertools import combinations_with_replacement
 
-from fatforest.complexes import FatForestSpec
+from fatforest.complexes import MAX_VERTICES, FatForestSpec
 from fatforest.homology import FieldSpec
 from fatforest.verify import verify_routes
 
@@ -33,6 +33,12 @@ def parse_args(argv=None):
         args.presets = [FatForestSpec((2,), p).gluing for p in args.presets.split(",")]
     except ValueError as exc:
         parser.error(str(exc))
+    if args.min_blocks < 1:
+        parser.error("--min-blocks must be at least 1")
+    if args.min_block < 2:
+        parser.error("--min-block must be at least 2: a block is a simplex on two or more vertices")
+    if args.max_vertices > MAX_VERTICES:
+        parser.error(f"--max-vertices {args.max_vertices} exceeds the {MAX_VERTICES}-vertex limit")
     if args.min_blocks < 2 and len(args.fields) < 2:
         parser.error("--min-blocks below 2 needs two --fields: a single block has only oracle routes")
     return args

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .betti import BettiTable, invariants_from_table
 from .complexes import (
@@ -54,24 +53,6 @@ oracle over GF(2) and GF(3). An earlier tabulation of this row reads
 own Hilbert series; the values above are the verified ones."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, assembled from parsed flags."""
-
-    spec: FatForestSpec | None
-    k: int | None
-    fields: tuple[FieldSpec, ...]
-    guard: int
-    output_format: str
-    out_path: str | None
-    method: str | None = None
-    facet_path: str | None = None
-
-    @property
-    def sizes(self) -> tuple[int, ...] | None:
-        return None if self.spec is None else self.spec.sizes
-
-
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -93,129 +74,122 @@ def _parse_gluing(text: str):
     return tuple(pairs)
 
 
-def _oracle_options(args) -> tuple[tuple[FieldSpec, ...], int]:
-    """--field and --guard of a subcommand that declares them; the others
-    never read either."""
-    if not hasattr(args, "guard"):
-        return (), DEFAULT_GUARD
-    if args.guard < 0:
-        raise ValueError(f"oracle guard {args.guard} is negative; --guard takes a vertex count >= 0")
-    if args.command != "verify" and len(args.field or ()) > 1:
-        raise ValueError("--field may be given more than once only with verify")
-    fields = tuple(FieldSpec.parse(f) for f in args.field or ["gf2"])
-    for i, f in enumerate(fields):
-        if f in fields[:i]:
-            raise ValueError(f"--field names {f.label} more than once")
-    return fields, args.guard
-
-
-def _config(args) -> RunConfig:
-    """Parse and validate the flags once; a --sizes request becomes one
-    FatForestSpec that every handler reads."""
-    fields, guard = _oracle_options(args)
-    facet_path = getattr(args, "facets", None)
-    spec = None
-    if getattr(args, "sizes", None):
-        if facet_path is not None:
+def _prepare(args) -> None:
+    """Validate the parsed flags once, in place: --field becomes args.fields,
+    a --sizes request becomes the one FatForestSpec args.spec that every
+    handler reads, and a -k left out means the whole complex."""
+    if hasattr(args, "guard"):
+        if args.guard < 0:
+            raise ValueError(f"oracle guard {args.guard} is negative; --guard takes a vertex count >= 0")
+        if args.command != "verify" and len(args.field or ()) > 1:
+            raise ValueError("--field may be given more than once only with verify")
+        default = ["gf2", "gf3"] if args.command == "verify" else ["gf2"]
+        args.fields = tuple(FieldSpec.parse(f) for f in args.field or default)
+        for i, f in enumerate(args.fields):
+            if f in args.fields[:i]:
+                raise ValueError(f"--field names {f.label} more than once")
+    facets = getattr(args, "facets", None)
+    args.spec = None
+    if getattr(args, "sizes", None) is not None:
+        if facets is not None:
             raise ValueError("--sizes and --facets are mutually exclusive")
-        spec = FatForestSpec(_parse_sizes(args.sizes), _parse_gluing(args.gluing))
-    k = getattr(args, "k", None)
-    if k is None and spec is not None:
-        k = spec.dim  # the whole complex
-    return RunConfig(
-        spec=spec,
-        k=k,
-        fields=fields,
-        guard=guard,
-        output_format=getattr(args, "format", "paper-table"),
-        out_path=getattr(args, "out", None),
-        method=getattr(args, "method", None),
-        facet_path=facet_path,
-    )
+        sizes = _parse_sizes(args.sizes)
+        gluing = () if args.gluing is None else (_parse_gluing(args.gluing),)
+        args.spec = FatForestSpec(sizes, *gluing)
+        if getattr(args, "k", None) is None:
+            args.k = args.spec.dim
+    elif facets is not None and args.gluing is not None:
+        raise ValueError("--gluing and --facets are mutually exclusive")
 
 
-def _build_complex(cfg: RunConfig) -> SimplicialComplex:
-    if cfg.facet_path is not None:
-        with open(cfg.facet_path, "r", encoding="utf-8") as handle:
+def _method(args, complex_method: str) -> str:
+    """The requested method, closed by default with --sizes; a facet file
+    allows only complex_method, the one that reads a complex."""
+    method = getattr(args, "method", None)
+    if args.facets is None:
+        return method or "closed"
+    if method not in (None, complex_method):
+        raise ValueError(f"facet-file input supports only --method {complex_method}")
+    return complex_method
+
+
+def _document(args, n_vars: int, method: str, **results) -> Document:
+    return Document(None if args.spec is None else args.spec.sizes, args.k, n_vars, method, **results)
+
+
+def _build_complex(args) -> SimplicialComplex:
+    if args.facets is not None:
+        with open(args.facets, "r", encoding="utf-8") as handle:
             c = parse_facet_lines(handle.read())
-    elif cfg.spec is None:
+    elif args.spec is None:
         raise ValueError("either --sizes or --facets is required")
     else:
-        c = build_fat_forest(cfg.spec)
-    return c if cfg.k is None else skeleton(c, cfg.k)
+        c = build_fat_forest(args.spec)
+    return c if args.k is None else skeleton(c, args.k)
 
 
-def _oracle(cfg: RunConfig) -> tuple[BettiTable, SimplicialComplex]:
+def _oracle(args) -> tuple[BettiTable, SimplicialComplex]:
     """Hochster table over the first --field and the complex it ran on. A
     --sizes spec is held to the guard before anything is built."""
-    if cfg.spec is not None:
-        check_oracle_guard(cfg.spec, cfg.guard)
-    c = _build_complex(cfg)
-    return hochster_betti(c, cfg.fields[0], cfg.guard), c
+    if args.spec is not None:
+        check_oracle_guard(args.spec, args.guard)
+    c = _build_complex(args)
+    return hochster_betti(c, args.fields[0], args.guard), c
 
 
-def _query(cfg: RunConfig) -> SkeletonQuery:
-    if cfg.spec is None:
+def _query(args) -> SkeletonQuery:
+    if args.spec is None:
         raise ValueError("this method needs --sizes")
-    return SkeletonQuery(cfg.spec, cfg.k)
+    return SkeletonQuery(args.spec, args.k)
 
 
-def _run_fvector(cfg: RunConfig) -> tuple[int, Document]:
-    if cfg.facet_path is not None:
-        c = _build_complex(cfg)
-        return EXIT_OK, Document(cfg.sizes, cfg.k, c.n_vertices, "from-complex", fvector=f_vector(c))
-    q = _query(cfg)
-    return EXIT_OK, Document(cfg.sizes, cfg.k, q.n_vars, "closed", fvector=skeleton_f_vector(q))
+def _run_fvector(args) -> tuple[int, Document]:
+    if _method(args, "from-complex") == "from-complex":
+        c = _build_complex(args)
+        return EXIT_OK, _document(args, c.n_vertices, "from-complex", fvector=f_vector(c))
+    q = _query(args)
+    return EXIT_OK, _document(args, q.n_vars, "closed", fvector=skeleton_f_vector(q))
 
 
-def _run_hilbert(cfg: RunConfig) -> tuple[int, Document]:
-    method = cfg.method or ("closed" if cfg.facet_path is None else "from-complex")
-    if cfg.facet_path is not None and method != "from-complex":
-        raise ValueError("facet-file input supports only --method from-complex")
+def _run_hilbert(args) -> tuple[int, Document]:
+    method = _method(args, "from-complex")
     if method == "from-complex":
-        c = _build_complex(cfg)
+        c = _build_complex(args)
         num = numerator_from_fvector(f_vector(c), c.n_vertices)
     else:
-        num = skeleton_numerator(_query(cfg))
-    return EXIT_OK, Document(cfg.sizes, cfg.k, num.n_vars, method, numerator=num)
+        num = skeleton_numerator(_query(args))
+    return EXIT_OK, _document(args, num.n_vars, method, numerator=num)
 
 
-def _run_betti(cfg: RunConfig) -> tuple[int, Document]:
-    if cfg.facet_path is not None and cfg.method != "hochster":
-        raise ValueError("facet-file input supports only --method hochster")
-    if cfg.method == "hochster":
-        table, c = _oracle(cfg)
-        n_vars, field = c.n_vertices, cfg.fields[0].label
-    else:
-        q = _query(cfg)
-        route = betti_closed if cfg.method == "formula" else betti_via_strand_subtraction
-        table, n_vars, field = route(q), q.n_vars, None
-    return EXIT_OK, Document(cfg.sizes, cfg.k, n_vars, cfg.method, field=field, betti=table)
+def _run_betti(args) -> tuple[int, Document]:
+    method = _method(args, "hochster")
+    if method == "hochster":
+        table, c = _oracle(args)
+        return EXIT_OK, _document(args, c.n_vertices, method, field=args.fields[0].label, betti=table)
+    q = _query(args)
+    route = betti_closed if method == "formula" else betti_via_strand_subtraction
+    return EXIT_OK, _document(args, q.n_vars, method, betti=route(q))
 
 
-def _run_invariants(cfg: RunConfig) -> tuple[int, Document]:
-    if cfg.facet_path is not None and cfg.method != "oracle":
-        raise ValueError("facet-file input supports only --method oracle")
-    if cfg.method == "oracle":
-        table, c = _oracle(cfg)
+def _run_invariants(args) -> tuple[int, Document]:
+    method = _method(args, "oracle")
+    if method == "oracle":
+        table, c = _oracle(args)
         inv = invariants_from_table(table, c.n_vertices, c.dim)
-        n_vars, field = c.n_vertices, cfg.fields[0].label
-    else:
-        q = _query(cfg)
-        inv, n_vars, field = invariants_closed(q), q.n_vars, None
-    return EXIT_OK, Document(cfg.sizes, cfg.k, n_vars, cfg.method, field=field, invariants=inv)
+        return EXIT_OK, _document(args, c.n_vertices, method, field=args.fields[0].label, invariants=inv)
+    q = _query(args)
+    return EXIT_OK, _document(args, q.n_vars, method, invariants=invariants_closed(q))
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
-    if cfg.spec is None:
+def _run_verify(args) -> tuple[int, Document]:
+    if args.spec is None:
         raise ValueError("verify needs --sizes")
-    report = verify_routes(cfg.spec, cfg.k, cfg.fields, cfg.guard)
-    doc = Document(
-        cfg.sizes,
-        cfg.k,
+    report = verify_routes(args.spec, args.k, args.fields, args.guard)
+    doc = _document(
+        args,
         report.query.n_vars,
         "verify",
-        field=",".join(f.label for f in cfg.fields),
+        field=",".join(f.label for f in args.fields),
         betti=report.tables[0][1],
         invariants=report.invariants[0][1],  # the closed forms' when they apply
         agreement=report,
@@ -223,14 +197,14 @@ def _run_verify(cfg: RunConfig) -> tuple[int, Document]:
     return (EXIT_OK if report.passed else EXIT_DISAGREEMENT), doc
 
 
-def _run_identities(cfg: RunConfig) -> tuple[int, IdentityReport]:
-    if cfg.spec is None:
+def _run_identities(args) -> tuple[int, IdentityReport]:
+    if args.spec is None:
         raise ValueError("identities needs --sizes")
-    report = identity_report(cfg.spec.sizes)
+    report = identity_report(args.spec.sizes)
     return (EXIT_OK if report.all_equal else EXIT_DISAGREEMENT), report
 
 
-def _run_paper_examples(cfg: RunConfig) -> tuple[int, str]:
+def _run_paper_examples(args) -> tuple[int, str]:
     spec = FatForestSpec((3, 4, 5))
     chunks = [
         "Betti tables for the skeletons of the blocks-(3,4,5) complex",
@@ -266,11 +240,7 @@ def _add_common(
     p.add_argument("--sizes", help="comma-separated block sizes, e.g. 3,4,5")
     if skeleton:
         p.add_argument("-k", type=int, default=None, help="skeleton parameter (faces of dimension <= k)")
-    p.add_argument(
-        "--gluing",
-        default="chain-distinct",
-        help="chain-distinct (default), star, or explicit pairs like 2:0,3:4",
-    )
+    p.add_argument("--gluing", help="chain-distinct (default), star, or explicit pairs like 2:0,3:4")
     if oracle:
         p.add_argument(
             "--field",
@@ -341,14 +311,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed a one-line diagnostic
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "verify" and args.field is None:
-        args.field = ["gf2", "gf3"]
     try:
-        cfg = _config(args)
-        code, payload = _HANDLERS[args.command](cfg)
-        text = render(payload, cfg.output_format)
-        if cfg.out_path:
-            with open(cfg.out_path, "w", encoding="utf-8") as handle:
+        _prepare(args)
+        code, payload = _HANDLERS[args.command](args)
+        text = render(payload, getattr(args, "format", "paper-table"))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)

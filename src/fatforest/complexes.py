@@ -234,22 +234,6 @@ def f_vector(c: SimplicialComplex) -> FVector:
     return FVector(tuple(counts))
 
 
-def induced_subcomplex(c: SimplicialComplex, selected: int) -> SimplicialComplex:
-    """Faces of c contained in the selected vertex set, reindexed onto 0..|S|-1."""
-    if selected < 0 or selected >> c.n_vertices:
-        raise ValueError("selected vertices are outside the universe")
-    verts = bits_of(selected)
-    position = {v: i for i, v in enumerate(verts)}
-    remapped = []
-    for f in c.facets:
-        inter = f & selected
-        mask = 0
-        for v in bits_of(inter):
-            mask |= 1 << position[v]
-        remapped.append(mask)
-    return SimplicialComplex(len(verts), tuple(remapped))
-
-
 def link(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
     """Faces disjoint from sigma whose union with sigma is a face of c."""
     if not c.is_face(sigma):

@@ -78,42 +78,15 @@ def invariants_doc(inv: RingInvariants) -> dict:
     }
 
 
-def structured_document(
-    *,
-    sizes,
-    k,
-    n_vars,
-    method,
-    field=None,
-    betti=None,
-    fvector=None,
-    numerator=None,
-    invariants=None,
-    agreement=None,
-) -> dict:
-    """The one-document-per-invocation schema; key order is part of the contract."""
-    return {
-        "sizes": list(sizes) if sizes is not None else None,
-        "k": k,
-        "N": n_vars,
-        "method": method,
-        "field": field,
-        "betti": betti_doc(betti) if betti is not None else None,
-        "fvector": fvector_doc(fvector) if fvector is not None else None,
-        "numerator": numerator_doc(numerator) if numerator is not None else None,
-        "invariants": invariants_doc(invariants) if invariants is not None else None,
-        "agreement": agreement,
-    }
-
-
 def to_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
 class Document:
-    """What one computation produced, typed: the fields of structured_document,
-    with agreement holding the verification report when routes were compared."""
+    """What one computation produced, typed: the one list of output fields.
+    Their order is the JSON key order, and agreement holds the verification
+    report when routes were compared."""
 
     sizes: tuple[int, ...] | None
     k: int | None
@@ -154,6 +127,27 @@ def _verification_doc(report: VerificationReport) -> dict:
         "invariant_checks": inv_checks,
         "verdict": "pass" if report.passed else "fail",
     }
+
+
+# The JSON form of each typed Document value; the rest are JSON already.
+_JSON_FORMS = {
+    tuple: list,
+    BettiTable: betti_doc,
+    FVector: fvector_doc,
+    HilbertNumerator: numerator_doc,
+    RingInvariants: invariants_doc,
+    VerificationReport: _verification_doc,
+}
+
+
+def structured_document(**fields) -> dict:
+    """The JSON form of Document(**fields), one key per field (n_vars as N);
+    key order is part of the contract."""
+    out = {}
+    for name, value in vars(Document(**fields)).items():  # in field order
+        convert = _JSON_FORMS.get(type(value))
+        out["N" if name == "n_vars" else name] = value if convert is None else convert(value)
+    return out
 
 
 def _verification_text(report: VerificationReport) -> str:
@@ -234,6 +228,5 @@ def render(payload: Document | IdentityReport | str, fmt: str) -> str:
             return to_json(_identities_doc(payload))
         return _identities_text(payload)
     if fmt == "structured":
-        agreement = None if payload.agreement is None else _verification_doc(payload.agreement)
-        return to_json(structured_document(**{**vars(payload), "agreement": agreement}))
+        return to_json(structured_document(**vars(payload)))
     return _text(payload, csv=fmt == "tabular")

@@ -5,6 +5,8 @@ import time
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from fatforest.betti import BettiTable
 from fatforest.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from fatforest.formulas import SkeletonQuery
@@ -12,6 +14,7 @@ from fatforest.verify import TableCheck, VerificationReport
 from fatforest.verify import compare_tables as _compare_tables
 
 GOLDEN = Path(__file__).parent / "golden"
+BOWTIE = str(GOLDEN / "bowtie.facets")
 
 
 def run(capsys, *argv):
@@ -384,6 +387,42 @@ def test_bad_sizes_exit_code(capsys):
     assert code == EXIT_INPUT
     code, _, _ = run(capsys, "betti", "--sizes", "2,2", "-k", "1", "--gluing", "ring")
     assert code == EXIT_INPUT
+    # an empty --sizes is a bad value, not a missing flag
+    code, out, err = run(capsys, "fvector", "--sizes", "")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: bad --sizes value ''; expected comma-separated integers\n"
+    code, out, err = run(capsys, "betti", "--facets", BOWTIE, "--method", "hochster", "--sizes", "")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: --sizes and --facets are mutually exclusive\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fvector"], "this method needs --sizes"),
+        (["hilbert"], "this method needs --sizes"),
+        (["betti", "-k", "1"], "this method needs --sizes"),
+        (["betti", "--method", "hochster"], "either --sizes or --facets is required"),
+        (["invariants", "--method", "oracle"], "either --sizes or --facets is required"),
+        (["hilbert", "--method", "from-complex"], "either --sizes or --facets is required"),
+        (["verify"], "verify needs --sizes"),
+        (["verify", "--facets", BOWTIE], "verify needs --sizes"),
+        (["identities"], "identities needs --sizes"),
+        (["betti", "--facets", BOWTIE], "facet-file input supports only --method hochster"),
+        (["invariants", "--facets", BOWTIE], "facet-file input supports only --method oracle"),
+    ],
+)
+def test_input_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_gluing_is_invalid_with_facets(capsys):
+    # a schedule shapes a --sizes complex; with a facet file it used to be
+    # dropped unchecked, even when it named a target outside the complex
+    for argv in (["fvector"], ["betti", "--method", "hochster"]):
+        for gluing in ("star", "2:9"):
+            code, out, err = run(capsys, *argv, "--facets", BOWTIE, "--gluing", gluing)
+            assert (code, out) == (EXIT_INPUT, ""), (argv, gluing)
+            assert err == "error: --gluing and --facets are mutually exclusive\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,4 +1,4 @@
-"""Complex construction, skeletons, induced subcomplexes, links, nonfaces."""
+"""Complex construction, skeletons, links, nonfaces."""
 
 import tracemalloc
 from itertools import combinations
@@ -14,7 +14,6 @@ from fatforest.complexes import (
     build_fat_forest,
     f_vector,
     facet_lines,
-    induced_subcomplex,
     link,
     minimal_nonfaces,
     parse_facet_lines,
@@ -198,21 +197,6 @@ def test_f_vector_ignores_gluing_schedule(spec):
     star = f_vector(build_fat_forest(FatForestSpec(spec.sizes, "star")))
     other = f_vector(build_fat_forest(spec))
     assert chain == star == other
-
-
-def test_induced_subcomplex_examples():
-    path = build_fat_forest(FatForestSpec((2, 2)))
-    two_points = induced_subcomplex(path, mask(0, 2))
-    assert two_points.n_vertices == 2
-    assert two_points.facets == (mask(0), mask(1))
-
-    assert induced_subcomplex(path, mask(0, 1, 2)) == path
-
-    simplex = SimplicialComplex(3, (mask(0, 1, 2),))
-    assert induced_subcomplex(simplex, mask(0, 1)).facets == (mask(0, 1),)
-
-    empty = induced_subcomplex(path, 0)
-    assert empty.n_vertices == 0 and empty.facets == ()
 
 
 def test_link_examples():

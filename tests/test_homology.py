@@ -16,7 +16,6 @@ from fatforest.complexes import (
     bits_of,
     build_fat_forest,
     f_vector,
-    induced_subcomplex,
     parse_facet_lines,
     skeleton,
     vertex_mask,
@@ -41,6 +40,22 @@ def mask(*vertices):
     return vertex_mask(vertices)
 
 
+def induced_subcomplex(c: SimplicialComplex, selected: int) -> SimplicialComplex:
+    """Faces of c contained in the selected vertex set, reindexed onto 0..|S|-1."""
+    if selected < 0 or selected >> c.n_vertices:
+        raise ValueError("selected vertices are outside the universe")
+    verts = bits_of(selected)
+    position = {v: i for i, v in enumerate(verts)}
+    remapped = []
+    for f in c.facets:
+        inter = f & selected
+        mask = 0
+        for v in bits_of(inter):
+            mask |= 1 << position[v]
+        remapped.append(mask)
+    return SimplicialComplex(len(verts), tuple(remapped))
+
+
 def reference_betti(c, field):
     """Hochster's formula taken literally: every one of the 2^N subsets, each
     induced afresh, with no orbit shortcut and no undo. It shares the homology
@@ -54,6 +69,21 @@ def reference_betti(c, field):
             if h:
                 table.add(j - idx, j, h)
     return table
+
+
+def test_induced_subcomplex_examples():
+    path = build_fat_forest(FatForestSpec((2, 2)))
+    two_points = induced_subcomplex(path, mask(0, 2))
+    assert two_points.n_vertices == 2
+    assert two_points.facets == (mask(0), mask(1))
+
+    assert induced_subcomplex(path, mask(0, 1, 2)) == path
+
+    simplex = SimplicialComplex(3, (mask(0, 1, 2),))
+    assert induced_subcomplex(simplex, mask(0, 1)).facets == (mask(0, 1),)
+
+    empty = induced_subcomplex(path, 0)
+    assert empty.n_vertices == 0 and empty.facets == ()
 
 
 def test_fieldspec_parsing():

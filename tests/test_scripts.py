@@ -40,6 +40,13 @@ def test_three_way_sweep_rejects_bad_fields_and_presets(capsys):
         (["--fields", "gf4"], "gf4"),
         (["--presets", "ring"], "ring"),
         (["--min-blocks", "1", "--fields", "gf2"], "--min-blocks"),
+        (["--min-blocks", "0"], "--min-blocks"),
+        (["--min-block", "1"], "--min-block"),
+        (
+            ["--min-blocks", "2", "--max-blocks", "2", "--min-block", "33", "--max-block", "33",
+             "--max-vertices", "70", "--fields", "gf2"],
+            "--max-vertices",
+        ),
     ):
         with pytest.raises(SystemExit) as exc:
             sweep.main(argv)
