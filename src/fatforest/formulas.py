@@ -9,16 +9,19 @@ nonnegativity at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 from .betti import BettiTable, RingInvariants
 from .complexes import FatForestSpec
 from .polynomials import (
+    FVector,
     HilbertNumerator,
     IntPolynomial,
-    FVector,
     binomial,
-    one_minus_t_power,
+    expand_terms,
+    face_count_terms,
+    numerator_from_fvector,
 )
 
 
@@ -75,27 +78,19 @@ def glued_blocks_terms(q: SkeletonQuery) -> tuple[tuple[int, int, int], ...]:
 
 
 def skeleton_terms(q: SkeletonQuery) -> tuple[tuple[int, int, int], ...]:
-    """The face-count numerator sum_i f_i t^i (1-t)^{N-i} of the k-skeleton
-    as terms (c, a, m), each meaning c t^a (1-t)^m."""
-    n_vars = q.n_vars
-    return tuple((f, i, n_vars - i) for i, f in enumerate(skeleton_f_vector(q).entries))
-
-
-def _expand(n_vars: int, terms) -> HilbertNumerator:
-    poly = IntPolynomial()
-    for c, a, m in terms:
-        poly = poly + c * one_minus_t_power(m).shifted(a)
-    return HilbertNumerator(n_vars, poly)
+    """The face-count terms of skeleton_f_vector(q)."""
+    return face_count_terms(skeleton_f_vector(q), q.n_vars)
 
 
 def fatforest_numerator(q: SkeletonQuery) -> HilbertNumerator:
     """Numerator of sum_s 1/(1-t)^{n_s} - (e-1)/(1-t) over (1-t)^N; q.k is unused."""
-    return _expand(q.n_vars, glued_blocks_terms(q))
+    return expand_terms(q.n_vars, glued_blocks_terms(q))
 
 
 def skeleton_numerator(q: SkeletonQuery) -> HilbertNumerator:
-    """Numerator (1-t)^N + N t (1-t)^{N-1} + sum_{i=2}^{s+1} c_i t^i (1-t)^{N-i}."""
-    return _expand(q.n_vars, skeleton_terms(q))
+    """The face-count numerator of skeleton_f_vector(q):
+    (1-t)^N + N t (1-t)^{N-1} + sum_{i=2}^{s+1} c_i t^i (1-t)^{N-i}."""
+    return numerator_from_fvector(skeleton_f_vector(q), q.n_vars)
 
 
 def linear_strand(q: SkeletonQuery) -> tuple[int, ...]:
@@ -190,7 +185,9 @@ def betti_via_strand_subtraction(q: SkeletonQuery) -> BettiTable:
         if v < 0:
             raise ValueError(f"negative diagonal-1 entry at position {i}")
         table.add(i, i + 1, v)
-    diff = skel.poly - base.poly
+    diff = IntPolynomial(
+        tuple(a - b for a, b in zip_longest(skel.poly.coeffs, base.poly.coeffs, fillvalue=0))
+    )
     for s in range(min(q.k + 2, diff.degree + 1)):
         if diff.coefficient(s) != 0:
             raise ValueError(f"strand subtraction left a degree-{s} term below the upper strand")

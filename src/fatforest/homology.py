@@ -279,7 +279,8 @@ def reisner_is_cm(
     below its own dimension."""
     if c.n_vertices > guard:
         raise OracleGuardError(c.n_vertices, guard)
-    for sigma in sorted(c.faces()):
+    # smallest faces first: a complex that is not CM usually fails at a vertex link
+    for sigma in sorted(c.faces(), key=lambda m: (m.bit_count(), m)):
         lk = link(c, sigma)
         dims = reduced_homology_dims(lk, field, guard)
         if any(dims[:-1]):

@@ -1,5 +1,7 @@
-"""Exact integer kernel: binomial coefficients, powers of (1 - t), and
-Hilbert-series numerators assembled from face counts.
+"""Exact integer kernel: binomial coefficients and Hilbert-series numerators.
+
+Every numerator is a term list (c, a, m), each term meaning c t^a (1-t)^m, and
+expand_terms is the one expansion of such a list into coefficients.
 
 Everything is plain Python integers, so results are exact at any magnitude.
 """
@@ -8,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -21,13 +23,6 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _trimmed(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; coeffs[s] is the t^s coefficient.
@@ -38,7 +33,10 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+        coeffs = list(self.coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -48,61 +46,6 @@ class IntPolynomial:
         if 0 <= s < len(self.coeffs):
             return self.coeffs[s]
         return 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def shifted(self, s: int) -> "IntPolynomial":
-        """Multiply by t^s."""
-        if s < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * s + self.coeffs)
-
-    def __call__(self, x: int):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def one_minus_t_power(m: int) -> IntPolynomial:
-    """Expansion of (1 - t)^m; the t^s coefficient is (-1)^s * binomial(m, s)."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    return IntPolynomial(tuple((-1) ** s * comb(m, s) for s in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -127,19 +70,6 @@ class FVector:
     def dim(self) -> int:
         return len(self.entries) - 2
 
-    def count(self, dimension: int) -> int:
-        """Number of faces of the given dimension (dimension -1 is the empty face)."""
-        idx = dimension + 1
-        if 0 <= idx < len(self.entries):
-            return self.entries[idx]
-        return 0
-
-    def truncated(self, k: int) -> "FVector":
-        """Face counts of the k-skeleton: drop everything above dimension k."""
-        if k < 0:
-            raise ValueError("skeleton dimension must be nonnegative")
-        return FVector(self.entries[: k + 2])
-
 
 @dataclass(frozen=True)
 class HilbertNumerator:
@@ -160,24 +90,34 @@ class HilbertNumerator:
         return self.poly.coefficient(s)
 
 
+def expand_terms(n_vars: int, terms) -> HilbertNumerator:
+    """The numerator sum c t^a (1-t)^m over the terms (c, a, m): each term adds
+    c (-1)^s C(m, s) to the t^(a+s) coefficient, for s = 0..m."""
+    coeffs = [0] * (n_vars + 1)
+    for c, a, m in terms:
+        # b runs through c (-1)^s C(m, s); each division is exact
+        b = c
+        for s in range(m + 1):
+            coeffs[a + s] += b
+            b = -b * (m - s) // (s + 1)
+    return HilbertNumerator(n_vars, IntPolynomial(tuple(coeffs)))
+
+
+def face_count_terms(f: FVector | Sequence[int], n_vars: int) -> tuple[tuple[int, int, int], ...]:
+    """The face-count numerator sum_i f_i t^i (1-t)^(n_vars-i) as terms
+    (f_i, i, n_vars - i), where f_i counts the faces of i vertices."""
+    entries = (f if isinstance(f, FVector) else FVector(f)).entries
+    if n_vars < 0:
+        raise ValueError("variable count must be nonnegative")
+    if len(entries) > n_vars + 1:
+        raise ValueError(f"faces of {n_vars + 1} vertices do not fit in {n_vars} variables")
+    return tuple((c, i, n_vars - i) for i, c in enumerate(entries))
+
+
 def numerator_from_fvector(f: FVector | Sequence[int], n_vars: int) -> HilbertNumerator:
     """Clear denominators in sum_i f_i t^(i+1) / (1-t)^(i+1) to the (1-t)^n_vars form.
 
     Returns the exact polynomial sum_i f_i t^(i+1) (1-t)^(n_vars-i-1), where the
     i = -1 term contributes (1-t)^n_vars.
     """
-    entries = f.entries if isinstance(f, FVector) else tuple(int(c) for c in f)
-    if not entries or entries[0] != 1:
-        raise ValueError("face vector must count the empty face exactly once")
-    if n_vars < 0:
-        raise ValueError("variable count must be nonnegative")
-    poly = IntPolynomial()
-    for size, count in enumerate(entries):
-        expo = n_vars - size
-        if expo < 0:
-            raise ValueError(
-                f"faces of {size} vertices do not fit in {n_vars} variables"
-            )
-        if count:
-            poly = poly + count * one_minus_t_power(expo).shifted(size)
-    return HilbertNumerator(n_vars, poly)
+    return expand_terms(n_vars, face_count_terms(f, n_vars))

@@ -74,6 +74,18 @@ def test_build_rejects_bad_specs():
     assert spec.n_vars == 69
     with pytest.raises(ValueError, match="64-vertex limit"):
         build_fat_forest(spec)
+    assert build_fat_forest(FatForestSpec((33, 32))).n_vertices == 64
+    with pytest.raises(ValueError, match="^65 vertices exceeds the 64-vertex limit$"):
+        build_fat_forest(FatForestSpec((33, 33)))
+
+
+def test_vertex_limit_boundary():
+    assert parse_facet_lines("0 63\n").n_vertices == 64
+    with pytest.raises(ValueError, match="vertex 64 exceeds the 64-vertex limit"):
+        parse_facet_lines("0 64\n")
+    assert SimplicialComplex(64).n_vertices == 64
+    with pytest.raises(ValueError, match="between 0 and 64, got 65"):
+        SimplicialComplex(65)
 
 
 @st.composite
@@ -187,7 +199,7 @@ def test_f_vector_truncates_along_skeleton(spec, k):
     c = build_fat_forest(spec)
     full = f_vector(c)
     part = f_vector(skeleton(c, k))
-    assert part == full.truncated(min(k, c.dim))
+    assert part.entries == full.entries[: min(k, c.dim) + 2]
 
 
 @given(forest_specs(allow_explicit=True))

@@ -312,7 +312,7 @@ def test_alternating_sums_match_numerator(spec):
 def test_euler_characteristic_consistency(spec):
     c = build_fat_forest(spec)
     fv = f_vector(c)
-    euler = sum((-1) ** d * fv.count(d) for d in range(0, c.dim + 1))
+    euler = sum((-1) ** d * fv.entries[d + 1] for d in range(0, c.dim + 1))
     for field in (GF2, GF3, RATIONALS):
         dims = reduced_homology_dims(c, field)
         reduced_euler = sum((-1) ** d * dims[d + 1] for d in range(0, c.dim + 1))

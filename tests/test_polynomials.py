@@ -11,7 +11,6 @@ from fatforest.polynomials import (
     IntPolynomial,
     binomial,
     numerator_from_fvector,
-    one_minus_t_power,
 )
 
 T = sympy.Symbol("t")
@@ -60,53 +59,16 @@ def test_binomial_symmetry_and_pascal_exhaustive():
                 assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-def test_one_minus_t_power_small():
-    assert one_minus_t_power(0).coeffs == (1,)
-    assert one_minus_t_power(2).coeffs == (1, -2, 1)
-    assert one_minus_t_power(3).coeffs == (1, -3, 3, -1)
-    with pytest.raises(ValueError):
-        one_minus_t_power(-1)
-
-
-@given(st.integers(0, 40))
-def test_one_minus_t_power_at_one(m):
-    value = one_minus_t_power(m)(1)
-    assert value == (1 if m == 0 else 0)
-
-
-@given(st.integers(0, 12))
-def test_one_minus_t_power_matches_sympy(m):
-    assert one_minus_t_power(m).coeffs == sympy_coeffs((1 - T) ** m)
-
-
-small_polys = st.lists(st.integers(-9, 9), max_size=6).map(
-    lambda cs: IntPolynomial(tuple(cs))
-)
-
-
-@given(small_polys, small_polys)
-def test_poly_arithmetic_matches_sympy(p, q):
-    sp = sum(c * T**i for i, c in enumerate(p.coeffs))
-    sq = sum(c * T**i for i, c in enumerate(q.coeffs))
-    assert (p + q).coeffs == sympy_coeffs(sp + sq)
-    assert (p - q).coeffs == sympy_coeffs(sp - sq)
-    assert (p * q).coeffs == sympy_coeffs(sp * sq)
-
-
 def test_poly_trims_and_evaluates():
     p = IntPolynomial((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert p(3) == 7
     assert IntPolynomial(()).degree == -1
-    assert p.shifted(2).coeffs == (0, 0, 1, 2)
 
 
 def test_fvector_validation():
     fv = FVector((1, 3, 2))
     assert fv.dim == 1
-    assert fv.count(-1) == 1 and fv.count(0) == 3 and fv.count(1) == 2
-    assert fv.truncated(0).entries == (1, 3)
     with pytest.raises(ValueError):
         FVector((2, 3))
     with pytest.raises(ValueError):
@@ -119,6 +81,9 @@ def test_numerator_empty_complex():
     num = numerator_from_fvector(FVector((1,)), 0)
     assert num.n_vars == 0
     assert num.poly.coeffs == (1,)
+    # the complex {empty face} on m vertices has numerator exactly (1-t)^m
+    for m in range(13):
+        assert numerator_from_fvector((1,), m).poly.coeffs == sympy_coeffs((1 - T) ** m)
 
 
 def test_numerator_path_example():
@@ -174,7 +139,9 @@ def test_numerator_additive_over_disjoint_union(fv_and_n, rng):
         cut = rng.randint(0, c)
         a.append(cut)
         b.append(c - cut)
-    whole = numerator_from_fvector(fv, n_vars).poly
-    left = numerator_from_fvector(FVector(tuple(a)), n_vars).poly
-    right = numerator_from_fvector(FVector(tuple(b)), n_vars).poly
-    assert left + right - whole == one_minus_t_power(n_vars)
+    whole = numerator_from_fvector(fv, n_vars)
+    left = numerator_from_fvector(FVector(tuple(a)), n_vars)
+    right = numerator_from_fvector(FVector(tuple(b)), n_vars)
+    shared = sympy_coeffs((1 - T) ** n_vars)
+    for s in range(n_vars + 1):
+        assert left.coefficient(s) + right.coefficient(s) - whole.coefficient(s) == shared[s]

@@ -1,11 +1,15 @@
-"""Smoke tests that run the scripts under scripts/ in-process."""
+"""Smoke tests that run the scripts under scripts/ in-process, and a check
+that every library name the benchmark under perfbench/ calls exists."""
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def load_script(name):
@@ -60,3 +64,23 @@ def test_identity_scan_small_range(capsys):
     scan = load_script("identity_scan")
     assert scan.main(["--max-block", "4", "--max-blocks", "2"]) == 0
     assert "9 size lists checked, 0 failing degrees" in capsys.readouterr().out
+
+
+def test_benchmark_names_resolve():
+    # the benchmark imports these three modules and reaches the rest as ff.<name>
+    ff = importlib.import_module("fatforest")
+    importlib.import_module("fatforest.tables")
+    importlib.import_module("fatforest.cli")
+    chains = {
+        chain
+        for path in PERFBENCH.glob("*.py")
+        for chain in re.findall(r"\bff((?:\.[A-Za-z_]\w*)+)", path.read_text())
+    }
+    assert chains
+    for chain in sorted(chains):
+        obj = ff
+        for name in chain[1:].split("."):
+            assert hasattr(obj, name), f"ff{chain} does not resolve"
+            obj = getattr(obj, name)
+    missing = [name for name in ff.__all__ if not hasattr(ff, name)]
+    assert not missing
