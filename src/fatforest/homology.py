@@ -4,11 +4,15 @@ Hochster subset sweep, and the link-homology Cohen-Macaulay test.
 All homology runs on one kernel, _ChainReducer: the column reduction of
 persistent homology (Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson
 2005) on an induced subcomplex that grows one vertex at a time and can undo
-its last step. A whole complex is its vertices added in order. The sweep
-covers all 2^N vertex subsets but visits one per orbit of the twin-class
-permutations, depth first, adding and undoing one vertex per step, so no
-subset is built from scratch. The orbit reduction rests on facet-set symmetry
-alone, never on the closed forms the oracle checks.
+its last step. Each face is listed once, in the lower star of its highest
+vertex, and faces are reduced in (size, mask) order; a vertex is only added
+above every vertex present. A whole complex adds, in order, the vertices with
+a nonempty lower star. The sweep covers all 2^N vertex subsets but visits one
+per orbit of the twin-class permutations, depth first, adding and undoing one
+vertex per step, so no subset is built from scratch; it first relabels the
+complex so that each twin class is a run of consecutive labels. The orbit
+reduction rests on facet-set symmetry alone, never on the closed forms the
+oracle checks.
 
 Columns are sparse: int bitmasks over GF(2), {row: coefficient} dicts over
 GF(p) and Q.
@@ -21,7 +25,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .betti import BettiTable
-from .complexes import SimplicialComplex, bits_of, link
+from .complexes import SimplicialComplex, bits_of, link, vertex_mask
 
 DEFAULT_GUARD = 24
 
@@ -99,14 +103,16 @@ class _ChainReducer:
     """Reduced homology of an induced subcomplex of c that grows one vertex
     at a time, by the column reduction of persistent homology.
 
-    add(v, selection) brings in the faces of c that contain v and lie inside
-    selection (which holds v). Every face is listed in the star of each of
-    its vertices, sorted by size, so the boundary of a new face is present
-    before the face itself. A new face takes the next row index among the
-    faces of its size, so no earlier column gains an entry: each new column
-    either reduces to zero or adds one pivot, keyed by its lowest (largest)
-    row. undo() drops the faces and pivots of the last add, and dims() is
-    then nullity minus rank in every degree.
+    Every face of c is listed once, in the lower star of its highest vertex,
+    with its size and boundary faces, in (size, mask) order. add(v,
+    selection) brings in the faces of v's lower star that lie inside
+    selection (which holds v). Precondition: every other selected vertex is
+    below v, so these are the new faces of the induced subcomplex and each
+    boundary is present before its face. A new face takes the next row index
+    among the faces of its size, so no earlier column gains an entry: each
+    new column either reduces to zero or adds one pivot, keyed by its lowest
+    (largest) row. undo() restores the face counts and drops the pivots of
+    the last add, and dims() is then nullity minus rank in every degree.
 
     Over GF(2) a column is an int bitmask of rows. Over GF(p) and Q it is a
     sparse {row: coefficient} dict, and stored pivots are scaled to 1 at
@@ -116,60 +122,65 @@ class _ChainReducer:
     def __init__(self, c: SimplicialComplex, field: FieldSpec):
         self.p = field.characteristic
         top = c.dim + 1
-        self.stars: list[list[int]] = [[] for _ in range(c.n_vertices)]
-        for f in sorted(c.faces(), key=int.bit_count)[1:]:  # all but the empty face
-            for v in bits_of(f):
-                self.stars[v].append(f)
+        self.stars: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(c.n_vertices)]
+        for f in sorted(sorted(c.faces()), key=int.bit_count)[1:]:  # all but the empty face
+            boundary = []  # f minus one vertex, by ascending vertex
+            rest = f
+            while rest:
+                low = rest & -rest
+                boundary.append(f ^ low)
+                rest ^= low
+            self.stars[f.bit_length() - 1].append((f, len(boundary), boundary))
         # rows of faces dropped by undo() stay here; no present face reads them
         self.row = {0: 0}
         self.counts = [1] + [0] * top
         # pivots[s]: low row -> reduced boundary column of a size-s face
         self.pivots: list[dict] = [{} for _ in range(top + 2)]
-        self.history: list[list[tuple[int, int | None]]] = []
+        self.history: list[tuple[list[int], list[tuple[dict, int]]]] = []
 
     def add(self, v: int, selection: int) -> None:
-        step = []
+        row, counts, pivots = self.row, self.counts, self.pivots
+        stored = []
+        self.history.append((counts[:], stored))
         outside = ~selection
-        for f in self.stars[v]:
+        for f, s, boundary in self.stars[v]:
             if f & outside:
                 continue
-            s = f.bit_count()
-            self.row[f] = self.counts[s]
-            self.counts[s] += 1
-            step.append((s, self._reduce(f, self.pivots[s])))
-        self.history.append(step)
+            row[f] = counts[s]
+            counts[s] += 1
+            piv_s = pivots[s]
+            if self.p == 2:
+                col = 0
+                for b in boundary:
+                    col |= 1 << row[b]
+                while col:
+                    low = col.bit_length() - 1
+                    piv = piv_s.get(low)
+                    if piv is None:
+                        piv_s[low] = col
+                        break
+                    col ^= piv
+                else:  # reduced to zero
+                    continue
+            elif (low := self._reduce(boundary, piv_s)) is None:
+                continue
+            stored.append((piv_s, low))
 
     def undo(self) -> None:
-        for s, low in self.history.pop():
-            self.counts[s] -= 1
-            if low is not None:
-                del self.pivots[s][low]
+        self.counts, stored = self.history.pop()
+        for piv_s, low in stored:
+            del piv_s[low]
 
     def dims(self) -> tuple[int, ...]:
         """Reduced Betti numbers in degrees -1 .. dim c."""
         pivots = self.pivots
         return tuple(n - len(pivots[s]) - len(pivots[s + 1]) for s, n in enumerate(self.counts))
 
-    def _reduce(self, f: int, pivots: dict) -> int | None:
-        """Reduce the boundary column of f; store and return its pivot row,
-        or None when it reduces to zero."""
+    def _reduce(self, boundary: list[int], pivots: dict) -> int | None:
+        """Reduce the signed boundary column of a face over GF(p) or Q; store
+        and return its pivot row, or None when it reduces to zero."""
         row, p = self.row, self.p
-        if p == 2:
-            col = 0
-            rest = f
-            while rest:
-                low = rest & -rest
-                col |= 1 << row[f ^ low]
-                rest ^= low
-            while col:
-                low = col.bit_length() - 1
-                piv = pivots.get(low)
-                if piv is None:
-                    pivots[low] = col
-                    return low
-                col ^= piv
-            return None
-        col = {row[f ^ 1 << v]: -1 if i & 1 else 1 for i, v in enumerate(bits_of(f))}
+        col = {row[b]: -1 if i & 1 else 1 for i, b in enumerate(boundary)}
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -198,8 +209,9 @@ def reduced_homology_dims(
     if c.n_vertices > guard:
         raise OracleGuardError(c.n_vertices, guard)
     kernel = _ChainReducer(c, field)
-    for v in range(c.n_vertices):
-        kernel.add(v, (2 << v) - 1)
+    for v, star in enumerate(kernel.stars):
+        if star:
+            kernel.add(v, (2 << v) - 1)
     return kernel.dims()
 
 
@@ -239,16 +251,22 @@ def hochster_betti(
     prod C(|class_r|, t_r), the number of subsets the class permutations carry
     it to. It walks the counts depth first, class by class, on one
     _ChainReducer: each step adds one vertex to the induced subcomplex and
-    backtracking undoes it, so no subset is rebuilt from scratch. The empty
-    subset and a subset of vertices that lie in no facet induce {empty face},
-    whose reduced homology is 1 in degree -1.
+    backtracking undoes it, so no subset is rebuilt from scratch. The complex
+    is first relabelled so that each class is a run of consecutive labels, in
+    the order the classes are found; each add is then above every selected
+    vertex, as _ChainReducer requires. The empty subset and a subset of
+    vertices that lie in no facet induce {empty face}, whose reduced homology
+    is 1 in degree -1.
     """
     n = c.n_vertices
     if n > guard:
         raise OracleGuardError(n, guard)
     table = BettiTable(n)
-    kernel = _ChainReducer(c, field)
     classes = _twin_classes(c)
+    label = {v: i for i, v in enumerate(v for cls in classes for v in cls)}
+    c = SimplicialComplex(n, tuple(vertex_mask(label[v] for v in bits_of(f)) for f in c.facets))
+    classes = [range(label[cls[0]], label[cls[0]] + len(cls)) for cls in classes]
+    kernel = _ChainReducer(c, field)
 
     def walk(r: int, selection: int, weight: int) -> None:
         if r == len(classes):

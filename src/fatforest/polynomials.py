@@ -66,10 +66,6 @@ class FVector:
         if any(c < 0 for c in self.entries):
             raise ValueError("face counts must be nonnegative")
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries) - 2
-
 
 @dataclass(frozen=True)
 class HilbertNumerator:

@@ -276,6 +276,26 @@ def test_unused_labels_are_variables_that_are_nonfaces():
         assert hochster_betti(c, field) == reference_betti(c, field)
 
 
+def test_unused_labels_between_used_ones_leave_homology_and_cm_unchanged():
+    # whole-complex homology skips vertices with an empty lower star; moving
+    # vertex v to label 3v + 1, so that unused labels sit below, between and
+    # above the used ones, must change no answer
+    def spread(c):
+        facets = tuple(vertex_mask(3 * v + 1 for v in bits_of(f)) for f in c.facets)
+        return SimplicialComplex(3 * c.n_vertices + 1, facets)
+
+    rp2 = SimplicialComplex(6, tuple(mask(*t) for t in RP2_TRIANGLES))
+    circle_and_point = SimplicialComplex(4, (mask(0, 1), mask(0, 2), mask(1, 2), mask(3)))
+    two_triangles = SimplicialComplex(5, (mask(0, 1, 2), mask(2, 3, 4)))
+    for c in (rp2, circle_and_point, two_triangles):
+        gapped = spread(c)
+        for field in FIELDS:
+            assert reduced_homology_dims(gapped, field) == reduced_homology_dims(c, field)
+            assert reisner_is_cm(gapped, field) == reisner_is_cm(c, field)
+    # the answers are not all alike: RP2 is Cohen-Macaulay over GF(3) and Q only
+    assert [reisner_is_cm(spread(rp2), field) for field in FIELDS] == [False, True, True]
+
+
 def test_hochster_path_is_koszul():
     path = build_fat_forest(FatForestSpec((2, 2)))
     table = hochster_betti(path)

@@ -67,8 +67,7 @@ def test_poly_trims_and_evaluates():
 
 
 def test_fvector_validation():
-    fv = FVector((1, 3, 2))
-    assert fv.dim == 1
+    assert FVector((1, 3, 2)).entries == (1, 3, 2)
     with pytest.raises(ValueError):
         FVector((2, 3))
     with pytest.raises(ValueError):

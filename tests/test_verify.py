@@ -42,6 +42,18 @@ def test_three_routes_agree_over_odd_characteristic_and_rationals(sizes, k, glui
     assert report.passed
 
 
+def test_three_routes_agree_over_every_field_at_n_above_twenty():
+    # formula == strands == hochster over GF(2), GF(3) and Q, and the closed
+    # invariants equal each oracle's, at N = 22 and N = 21
+    fields = (GF2, GF3, RATIONALS)
+    oracles = [f"hochster-{field.label}" for field in fields]
+    for sizes in ((8, 8, 8), (6, 6, 6, 6)):
+        report = verify_routes(FatForestSpec(sizes), 2, fields)
+        assert [name for name, _ in report.tables] == ["formula", "strands"] + oracles
+        assert [name for name, _ in report.invariants] == ["closed"] + oracles
+        assert report.passed, sizes
+
+
 def test_closed_routes_alone_skip_the_oracle_guard():
     # 39 vertices exceed the guard of 24, but with no field no oracle runs
     report = verify_routes(FatForestSpec((20, 20)), 2, (), 24)
